@@ -1,21 +1,26 @@
-"""Campaign orchestration: the serial falsification loop and the
-worker-pool parallel pipeline, plus result persistence.
+"""Campaign orchestration: one runner for every worker count, plus
+result persistence.
 
-Both runners share one shape: a coordinator owns the sampler and the
-result tables, draws samples, hands them to a simulator, and folds the
-evaluated outcome back into the sampler.  The parallel runner keeps up
-to W samples in flight on worker threads; the coordinator remains the
-only thread that ever touches sampler state, applying feedback in
-completion order as it arrives (workers may finish out of dispatch
-order).  Simulation releases the interpreter lock — the compiled kernel
-runs lock-free and artificial delays sleep — so W workers overlap almost
-perfectly when simulation dominates.
+A coordinator owns the sampler and the result tables, draws samples,
+hands them to a simulator, and folds the evaluated outcome back into the
+sampler.  Each step is written once on ``_Runner``; the worker count only
+decides where the simulation runs.  At W=1 it runs inline on the
+coordinator.  At W>1 up to W samples are in flight on worker threads,
+and the coordinator, still the only thread that touches sampler state,
+applies feedback in completion order as it arrives (workers may finish
+out of dispatch order).  Simulation releases the interpreter lock — the
+compiled kernel runs lock-free and artificial delays sleep — so W
+workers overlap almost perfectly when simulation dominates.
 
 Sample ids are assigned at dispatch and are dense over dispatched
-samples.  A worker that raises marks its sample failed: the id is logged
-and counted, the sample joins neither table, and the campaign continues.
-Coordinator-side errors abort the campaign with the partial result
-attached to the raised CampaignError.
+samples.  The failure policy is the same for every W.  A simulation or
+evaluation that raises a package error (``FalsifyError``) is a package
+or config fault that would repeat on every sample, so it aborts the
+campaign, as does any package error on the coordinator: in-flight
+samples are absorbed and the partial result is attached to the raised
+CampaignError.  Any other exception marks its sample failed: the id is
+logged and counted, the sample joins neither table, and the campaign
+continues.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import ConfigError, FalsifyError
-from .monitor import Specification, evaluate
+from .monitor import Specification, evaluate, falsification_vector
 from .rulebook import FalsificationVector, Rulebook
 from .samplers import (
     DEFAULT_ALPHA,
@@ -84,7 +89,6 @@ class CampaignConfig:
     workers: int = 1
     seed: int = 0
     delay: float = 0.0
-    checkpoint_interval: int | None = None
     output_dir: str | None = None
 
     def __post_init__(self):
@@ -108,10 +112,6 @@ class CampaignConfig:
             )
         if self.delay < 0:
             raise ConfigError(f"delay must be >= 0, got {self.delay}")
-        if self.checkpoint_interval is not None and self.checkpoint_interval < 1:
-            raise ConfigError(
-                f"checkpoint_interval must be >= 1, got {self.checkpoint_interval}"
-            )
         if len(self.spec) != self.rulebook.metric_count:
             raise ConfigError(
                 f"spec has {len(self.spec)} metrics but the rulebook orders "
@@ -138,20 +138,7 @@ class CampaignConfig:
                 "id": self.scenario.scenario_id,
                 "adversaries": self.scenario.adversaries,
             },
-            "spec": [
-                {
-                    "metric": "joint_separation",
-                    "agents": list(m.agents),
-                    "threshold": m.threshold,
-                }
-                if hasattr(m, "agents")
-                else {
-                    "metric": "min_separation",
-                    "agent": m.agent,
-                    "threshold": m.threshold,
-                }
-                for m in self.spec.metrics
-            ],
+            "spec": [m.to_config() for m in self.spec.metrics],
             "rulebook": {
                 "metrics": self.rulebook.metric_count,
                 "edges": sorted(list(e) for e in self.rulebook.edges),
@@ -164,7 +151,6 @@ class CampaignConfig:
             "workers": self.workers,
             "seed": self.seed,
             "delay": self.delay,
-            "checkpoint_interval": self.checkpoint_interval,
             "output_dir": self.output_dir,
         }
 
@@ -237,7 +223,6 @@ class CampaignResult:
     wall_seconds: float
     dispatched: int
     failed: int
-    checkpoints: tuple[dict, ...] = ()
 
     @property
     def error_table(self) -> tuple[SampleRecord, ...]:
@@ -271,7 +256,7 @@ def default_simulator(config: CampaignConfig, sample: SampleVector):
 
 
 class _Runner:
-    """Shared coordinator state for both execution modes."""
+    """Coordinator state and the steps of one campaign, for any worker count."""
 
     def __init__(self, config: CampaignConfig, simulate_fn=None):
         self.config = config
@@ -285,7 +270,6 @@ class _Runner:
         )
         self.records: list[SampleRecord] = []
         self.maximal: list[FalsificationVector] = []
-        self.checkpoints: list[dict] = []
         self.failed = 0
         self.dispatched = 0
         self.t0 = time.perf_counter()
@@ -303,14 +287,56 @@ class _Runner:
             return False
         return True
 
-    # -- bookkeeping -----------------------------------------------------------
+    # -- one sample: dispatch -> run -> handle -------------------------------
 
-    def simulate_one(self, sample: SampleVector):
-        """Run one simulation + evaluation; returns (rho, termination, secs)."""
+    def dispatch(self) -> tuple:
+        """Draw the next sample; returns the task (id, t_dispatch, sample)."""
+        sample = self.sampler.next_sample()
+        task = (self.dispatched, time.time(), sample)
+        self.dispatched += 1
+        return task
+
+    def run(self, task: tuple, worker: int) -> tuple:
+        """Simulate and evaluate one task; returns its outcome for handle().
+
+        Called on the coordinator at W=1 and on a worker thread at W>1,
+        so it touches no coordinator state.
+        """
+        sid, t_dispatch, sample = task
         t0 = time.perf_counter()
-        traj = self.simulate_fn(self.config, sample)
-        rho = evaluate(self.config.spec, traj)
-        return rho, traj.termination, time.perf_counter() - t0
+        try:
+            traj = self.simulate_fn(self.config, sample)
+            rho = evaluate(self.config.spec, traj)
+        except FalsifyError as exc:
+            return ("abort", exc)
+        except Exception as exc:  # noqa: BLE001 - sample isolation boundary
+            return ("failed", sid, worker, f"{type(exc).__name__}: {exc}")
+        sim_seconds = time.perf_counter() - t0
+        bits = falsification_vector(rho)
+        return ("done", SampleRecord(
+            id=sid,
+            worker=worker,
+            t_dispatch=t_dispatch,
+            t_complete=time.time(),
+            sample=sample,
+            rho=tuple(float(r) for r in rho),
+            b=bits,
+            is_counterexample=any(bits),
+            termination=traj.termination,
+            sim_seconds=sim_seconds,
+        ))
+
+    def handle(self, outcome: tuple) -> None:
+        """Absorb a record, count a failed sample, or re-raise an abort."""
+        kind = outcome[0]
+        if kind == "done":
+            self.absorb(outcome[1])
+        elif kind == "failed":
+            _, sid, worker, message = outcome
+            self.failed += 1
+            logger.warning("sample %d failed on worker %d: %s", sid, worker, message)
+        else:
+            raise outcome[1]
 
     def absorb(self, record: SampleRecord) -> None:
         """Fold one completed sample into sampler state and the tables."""
@@ -326,9 +352,6 @@ class _Runner:
             self.maximal, _ = self.config.rulebook.insert_maximal(
                 self.maximal, record.b
             )
-        interval = self.config.checkpoint_interval
-        if interval and len(self.records) % interval == 0:
-            self.checkpoints.append(self.sampler.snapshot())
 
     def result(self) -> CampaignResult:
         return CampaignResult(
@@ -339,157 +362,102 @@ class _Runner:
             wall_seconds=self.elapsed(),
             dispatched=self.dispatched,
             failed=self.failed,
-            checkpoints=tuple(self.checkpoints),
-        )
-
-    def make_record(self, sid, worker, t_dispatch, t_complete, sample, rho,
-                    termination, sim_seconds) -> SampleRecord:
-        bits = tuple(bool(r < 0.0) for r in rho)
-        return SampleRecord(
-            id=sid,
-            worker=worker,
-            t_dispatch=t_dispatch,
-            t_complete=t_complete,
-            sample=sample,
-            rho=tuple(float(r) for r in rho),
-            b=bits,
-            is_counterexample=any(bits),
-            termination=termination,
-            sim_seconds=sim_seconds,
         )
 
 
-def run_serial(config: CampaignConfig, simulate_fn=None) -> CampaignResult:
-    """Single-threaded loop: sample, simulate, evaluate, update, repeat."""
-    runner = _Runner(config, simulate_fn)
-    try:
-        while runner.may_dispatch():
-            sid = runner.dispatched
-            t_dispatch = time.time()
-            sample = runner.sampler.next_sample()
-            runner.dispatched += 1
-            rho, termination, sim_seconds = runner.simulate_one(sample)
-            record = runner.make_record(
-                sid, 0, t_dispatch, time.time(), sample, rho,
-                termination, sim_seconds,
+class _Pool:
+    """Worker threads that run a runner's tasks; outcomes land in completion order."""
+
+    def __init__(self, runner: _Runner):
+        self.runner = runner
+        self.tasks: queue.Queue = queue.Queue()
+        self.results: queue.Queue = queue.Queue()
+        self.threads: list[threading.Thread] = []
+        self.in_flight = 0
+
+    def _work(self, worker: int) -> None:
+        while (task := self.tasks.get()) is not None:
+            self.results.put(self.runner.run(task, worker))
+
+    def _handle_next(self, block: bool) -> None:
+        outcome = self.results.get(block)  # raises queue.Empty if none waits
+        self.in_flight -= 1
+        self.runner.handle(outcome)
+
+    def pipeline(self, workers: int) -> None:
+        """Keep up to ``workers`` samples in flight until the budget is spent.
+
+        Feedback is applied as each result lands, without waiting for the
+        rest of the batch — adaptive samplers therefore see feedback in
+        completion order, which is the accepted nondeterminism of W>1.
+        """
+        runner = self.runner
+        self.threads = [
+            threading.Thread(
+                target=self._work,
+                args=(w,),
+                name=f"falsify-worker-{w}",
+                daemon=True,
             )
-            runner.absorb(record)
+            for w in range(workers)
+        ]
+        for t in self.threads:
+            t.start()
+        while True:
+            # Apply any feedback that has already arrived.
+            try:
+                while True:
+                    self._handle_next(block=False)
+            except queue.Empty:
+                pass
+            if self.in_flight < workers and runner.may_dispatch():
+                self.tasks.put(runner.dispatch())
+                self.in_flight += 1
+            elif self.in_flight == 0:
+                return
+            else:
+                # Nothing to dispatch: block until a result lands.
+                self._handle_next(block=True)
+
+    def drain(self) -> None:
+        """After an abort, absorb what is still in flight."""
+        while self.in_flight > 0:
+            try:
+                self._handle_next(block=True)
+            except FalsifyError:
+                logger.exception("secondary error while draining results")
+
+    def close(self) -> None:
+        for _ in self.threads:
+            self.tasks.put(None)
+        for t in self.threads:
+            t.join()
+
+
+def run_campaign(config: CampaignConfig, simulate_fn=None) -> CampaignResult:
+    """Run a campaign to its budget: sample, simulate, evaluate, update.
+
+    At W=1 each sample runs inline on the coordinator.  A pool of one
+    thread would give the same records, but its handoff per sample costs
+    more than a fast simulation.
+    """
+    runner = _Runner(config, simulate_fn)
+    pool = _Pool(runner)
+    try:
+        if config.workers == 1:
+            while runner.may_dispatch():
+                runner.handle(runner.run(runner.dispatch(), 0))
+        else:
+            pool.pipeline(config.workers)
     except FalsifyError as exc:
+        pool.drain()
         raise CampaignError(
             f"campaign aborted after {len(runner.records)} samples: {exc}",
             runner.result(),
         ) from exc
-    return runner.result()
-
-
-def _worker_loop(runner: _Runner, worker_id: int, tasks: queue.Queue,
-                 results: queue.Queue) -> None:
-    while True:
-        task = tasks.get()
-        if task is None:
-            return
-        sid, t_dispatch, sample = task
-        try:
-            rho, termination, sim_seconds = runner.simulate_one(sample)
-        except Exception as exc:  # noqa: BLE001 - worker isolation boundary
-            results.put(("failed", sid, worker_id, f"{type(exc).__name__}: {exc}"))
-        else:
-            record = runner.make_record(
-                sid, worker_id, t_dispatch, time.time(), sample, rho,
-                termination, sim_seconds,
-            )
-            results.put(("done", record))
-
-
-def run_parallel(config: CampaignConfig, simulate_fn=None) -> CampaignResult:
-    """Worker-pool pipeline: W simulators, one sampler-owning coordinator.
-
-    The coordinator keeps up to ``workers`` samples outstanding and
-    applies feedback as each result lands, without waiting for the rest
-    of the batch — adaptive samplers therefore see feedback in
-    completion order, which is the accepted nondeterminism of parallel
-    mode.  With one worker the pipeline degenerates to the serial loop.
-    """
-    runner = _Runner(config, simulate_fn)
-    tasks: queue.Queue = queue.Queue()
-    results: queue.Queue = queue.Queue()
-    threads = [
-        threading.Thread(
-            target=_worker_loop,
-            args=(runner, w, tasks, results),
-            name=f"falsify-worker-{w}",
-            daemon=True,
-        )
-        for w in range(config.workers)
-    ]
-    for t in threads:
-        t.start()
-
-    in_flight = 0
-    abort: Exception | None = None
-
-    def handle(item) -> None:
-        nonlocal abort
-        if item[0] == "done":
-            runner.absorb(item[1])
-        else:
-            _, sid, worker_id, message = item
-            runner.failed += 1
-            logger.warning("sample %d failed on worker %d: %s",
-                           sid, worker_id, message)
-
-    try:
-        while True:
-            # Apply any feedback that has already arrived.
-            while True:
-                try:
-                    item = results.get_nowait()
-                except queue.Empty:
-                    break
-                in_flight -= 1
-                handle(item)
-            if in_flight < config.workers and runner.may_dispatch():
-                sample = runner.sampler.next_sample()
-                tasks.put((runner.dispatched, time.time(), sample))
-                runner.dispatched += 1
-                in_flight += 1
-                continue
-            if in_flight == 0:
-                break
-            # Nothing to dispatch: block until a result lands.
-            item = results.get()
-            in_flight -= 1
-            handle(item)
-    except FalsifyError as exc:
-        abort = exc
-        # Absorb whatever was already in flight so the partial result is
-        # as complete as possible, then let the workers exit.
-        while in_flight > 0:
-            item = results.get()
-            in_flight -= 1
-            try:
-                handle(item)
-            except FalsifyError:
-                logger.exception("secondary error while draining results")
     finally:
-        for _ in threads:
-            tasks.put(None)
-        for t in threads:
-            t.join()
-
-    if abort is not None:
-        raise CampaignError(
-            f"campaign aborted after {len(runner.records)} samples: {abort}",
-            runner.result(),
-        ) from abort
+        pool.close()
     return runner.result()
-
-
-def run_campaign(config: CampaignConfig, simulate_fn=None) -> CampaignResult:
-    """Dispatch to the serial loop (W=1) or the worker pool (W>1)."""
-    if config.workers == 1:
-        return run_serial(config, simulate_fn)
-    return run_parallel(config, simulate_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -542,12 +510,16 @@ def write_artifacts(result: CampaignResult, out_dir) -> dict:
     }
 
 
-def read_records(run_dir) -> list[SampleRecord]:
-    path = Path(run_dir) / RECORDS_JSONL
+def _artifact(run_dir, name: str) -> Path:
+    path = Path(run_dir) / name
     if not path.exists():
-        raise ConfigError(f"no {RECORDS_JSONL} in {run_dir}")
+        raise ConfigError(f"no {name} in {run_dir}")
+    return path
+
+
+def read_records(run_dir) -> list[SampleRecord]:
     records = []
-    with path.open() as fh:
+    with _artifact(run_dir, RECORDS_JSONL).open() as fh:
         for line in fh:
             line = line.strip()
             if line:
@@ -556,7 +528,20 @@ def read_records(run_dir) -> list[SampleRecord]:
 
 
 def read_summary(run_dir) -> dict:
-    path = Path(run_dir) / SUMMARY_JSON
-    if not path.exists():
-        raise ConfigError(f"no {SUMMARY_JSON} in {run_dir}")
-    return json.loads(path.read_text())
+    return json.loads(_artifact(run_dir, SUMMARY_JSON).read_text())
+
+
+def read_result(run_dir) -> CampaignResult:
+    """Rebuild a finished campaign's result from its artifacts."""
+    from .config import parse_config  # config.py builds on this module
+
+    summary = read_summary(run_dir)
+    return CampaignResult(
+        config=parse_config(summary["config"]),
+        records=tuple(read_records(run_dir)),
+        maximal=tuple(tuple(bits) for bits in summary["maximal"]),
+        snapshot=json.loads(_artifact(run_dir, SNAPSHOT_JSON).read_text()),
+        wall_seconds=summary["totals"]["wall_seconds"],
+        dispatched=summary["dispatched"],
+        failed=summary["failed"],
+    )

@@ -20,18 +20,16 @@ import dataclasses
 import json
 import sys
 from pathlib import Path
-from types import SimpleNamespace
 
 from .analysis import ci_width_ratio, coverage_stats, speedup_factor
 from .campaign import (
     CampaignError,
     CampaignResult,
-    read_records,
-    read_summary,
+    read_result,
     run_campaign,
     write_artifacts,
 )
-from .config import load_config, parse_config
+from .config import load_config
 from .errors import ConfigError, FalsifyError
 from .scenarios import list_scenarios, simulate
 
@@ -135,20 +133,6 @@ def cmd_run(args) -> int:
 # report
 
 
-def _load_result(run_dir) -> SimpleNamespace:
-    """Rehydrate enough of a campaign from its artifacts for analysis."""
-    summary = read_summary(run_dir)
-    records = read_records(run_dir)
-    config = parse_config(summary["config"])
-    return SimpleNamespace(
-        config=config,
-        records=records,
-        maximal=[tuple(m) for m in summary.get("maximal", [])],
-        wall_seconds=summary["totals"]["wall_seconds"],
-        summary=summary,
-    )
-
-
 def _ci_note(stats) -> str:
     return (
         f"confidence interval omitted: the {stats.sampler!r} sampler adapts "
@@ -159,7 +143,7 @@ def _ci_note(stats) -> str:
 
 def cmd_report(args) -> int:
     try:
-        result = _load_result(args.run_dir)
+        result = read_result(args.run_dir)
         stats = coverage_stats(result)
     except FalsifyError as exc:
         return _fail(str(exc), EXIT_CONFIG)
@@ -189,8 +173,8 @@ def cmd_report(args) -> int:
 
 def cmd_compare(args) -> int:
     try:
-        res_a = _load_result(args.run_dir_a)
-        res_b = _load_result(args.run_dir_b)
+        res_a = read_result(args.run_dir_a)
+        res_b = read_result(args.run_dir_b)
         if res_a.config.scenario != res_b.config.scenario:
             raise ConfigError(
                 "runs cover different scenarios: "
@@ -199,8 +183,8 @@ def cmd_compare(args) -> int:
                 f"{res_b.config.scenario.scenario_id!r} (adversaries="
                 f"{res_b.config.scenario.adversaries})"
             )
-        names_a = res_a.summary.get("metric_names")
-        names_b = res_b.summary.get("metric_names")
+        names_a = res_a.config.spec.names
+        names_b = res_b.config.spec.names
         if names_a != names_b:
             raise ConfigError(
                 f"runs monitor different metrics: {names_a} vs {names_b}"

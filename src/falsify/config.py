@@ -15,7 +15,6 @@ silently ignored.
       "sampler": {"name": "mab", "alpha": 0.1},
       "budget": {"max_samples": 100, "max_wall_seconds": null},
       "workers": 1, "seed": 0, "delay": 0.0,
-      "checkpoint_interval": null,
       "output_dir": "runs/demo"               # optional
     }
 """
@@ -48,7 +47,6 @@ TOP_LEVEL_KEYS = {
     "workers",
     "seed",
     "delay",
-    "checkpoint_interval",
     "output_dir",
 }
 
@@ -152,7 +150,6 @@ def parse_config(doc: dict) -> CampaignConfig:
     max_samples = budget_doc.get("max_samples")
     max_wall = budget_doc.get("max_wall_seconds")
 
-    checkpoint = doc.get("checkpoint_interval")
     output_dir = doc.get("output_dir")
 
     return CampaignConfig(
@@ -167,7 +164,6 @@ def parse_config(doc: dict) -> CampaignConfig:
         workers=int(doc.get("workers", 1)),
         seed=int(doc.get("seed", 0)),
         delay=float(doc.get("delay", 0.0)),
-        checkpoint_interval=None if checkpoint is None else int(checkpoint),
         output_dir=None if output_dir is None else str(output_dir),
     )
 

@@ -122,6 +122,11 @@ class MinSeparation:
     def separations_margin(self, traj: Trajectory) -> np.ndarray:
         return traj.separations(EGO, self.agent) - self.threshold
 
+    def to_config(self) -> dict:
+        """This metric as a spec entry that spec_from_config reads back."""
+        return {"metric": "min_separation", "agent": self.agent,
+                "threshold": self.threshold}
+
 
 @dataclass(frozen=True)
 class JointSeparation:
@@ -152,6 +157,11 @@ class JointSeparation:
             for agent in self.agents
         ]
         return float(max(parts))
+
+    def to_config(self) -> dict:
+        """This metric as a spec entry that spec_from_config reads back."""
+        return {"metric": "joint_separation", "agents": list(self.agents),
+                "threshold": self.threshold}
 
 
 Metric = MinSeparation | JointSeparation

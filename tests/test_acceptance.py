@@ -23,7 +23,6 @@ from falsify.analysis import CampaignStats, ci_width_ratio, clopper_pearson
 from falsify.campaign import (
     CampaignConfig,
     run_campaign,
-    run_serial,
     write_artifacts,
 )
 from falsify.rulebook import Dominance
@@ -413,7 +412,7 @@ def test_criterion_12_determinism(capsys, tmp_path):
         )
         dirs = []
         for rep in range(2):
-            result = run_serial(config)
+            result = run_campaign(config)
             out_dir = tmp_path / f"rep{rep}"
             write_artifacts(result, out_dir)
             dirs.append(out_dir)

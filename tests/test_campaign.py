@@ -85,7 +85,7 @@ def test_config_rejects_unknown_sampler():
 
 
 def test_serial_partitions_budget():
-    result = ca.run_serial(make_config(max_samples=10))
+    result = ca.run_campaign(make_config(max_samples=10))
     assert len(result.records) == 10
     assert len(result.error_table) + len(result.safe_table) == 10
     assert [r.id for r in result.records] == list(range(10))
@@ -97,9 +97,9 @@ def test_serial_partitions_budget():
 
 
 def test_serial_is_deterministic():
-    a = ca.run_serial(make_config(seed=9))
-    b = ca.run_serial(make_config(seed=9))
-    c = ca.run_serial(make_config(seed=10))
+    a = ca.run_campaign(make_config(seed=9))
+    b = ca.run_campaign(make_config(seed=9))
+    c = ca.run_campaign(make_config(seed=10))
     assert [semantic(r) for r in a.records] == [semantic(r) for r in b.records]
     assert [semantic(r) for r in a.records] != [semantic(r) for r in c.records]
     assert a.maximal == b.maximal
@@ -108,7 +108,7 @@ def test_serial_is_deterministic():
 def test_scenario_1_uniform_finds_a_counterexample():
     # The unsafe region holds >= 5% of the volume by construction, so 200
     # uniform samples miss it with probability under 1e-4.
-    result = ca.run_serial(make_config("1", max_samples=200, seed=3))
+    result = ca.run_campaign(make_config("1", max_samples=200, seed=3))
     assert len(result.error_table) >= 1
 
 
@@ -122,7 +122,7 @@ def test_serial_abort_reports_partial_result():
         return ca.default_simulator(config, sample)
 
     with pytest.raises(ca.CampaignError, match="aborted after 7 samples") as err:
-        ca.run_serial(make_config(max_samples=30), simulate_fn=flaky)
+        ca.run_campaign(make_config(max_samples=30), simulate_fn=flaky)
     partial = err.value.partial
     assert len(partial.records) == 7
     assert partial.dispatched == 8  # the failing sample was dispatched
@@ -131,25 +131,18 @@ def test_serial_abort_reports_partial_result():
 def test_wall_clock_budget_stops_dispatch():
     config = make_config(max_samples=None, max_wall_seconds=0.3, delay=0.02)
     t0 = time.perf_counter()
-    result = ca.run_serial(config)
+    result = ca.run_campaign(config)
     elapsed = time.perf_counter() - t0
     assert result.wall_seconds >= 0.3
     assert elapsed < 3.0
     assert 1 <= len(result.records) <= 30
 
 
-def test_checkpoints_every_interval():
-    result = ca.run_serial(make_config(max_samples=20, checkpoint_interval=5))
-    assert len(result.checkpoints) == 4
-    assert result.checkpoints[0]["completed"] == 5
-    assert result.checkpoints[-1]["completed"] == 20
-
-
 def test_mab_campaign_maximal_matches_sampler_keys():
     config = make_config(
         "two_region", sampler_name="mab", max_samples=60, seed=2
     )
-    result = ca.run_serial(config)
+    result = ca.run_campaign(config)
     assert len(result.error_table) > 0
     # Campaign-level maximal fold and the bandit's key set are the same
     # computation applied in the same order; they must agree exactly.
@@ -161,22 +154,14 @@ def test_mab_campaign_maximal_matches_sampler_keys():
 # ---------------------------------------------------------------------------
 
 
-def test_parallel_single_worker_equals_serial():
-    serial = ca.run_serial(make_config(seed=7, max_samples=25))
-    parallel = ca.run_parallel(make_config(seed=7, max_samples=25, workers=1))
-    assert [semantic(r) for r in serial.records] == [
-        semantic(r) for r in parallel.records
-    ]
-
-
 @pytest.mark.parametrize("sampler", ["uniform", "halton"])
 def test_nonadaptive_samples_independent_of_workers(sampler):
     def jittery(config, sample):
         time.sleep(float(np.random.default_rng().random()) * 0.003)
         return ca.default_simulator(config, sample)
 
-    serial = ca.run_serial(make_config(sampler_name=sampler, max_samples=40))
-    parallel = ca.run_parallel(
+    serial = ca.run_campaign(make_config(sampler_name=sampler, max_samples=40))
+    parallel = ca.run_campaign(
         make_config(sampler_name=sampler, max_samples=40, workers=5),
         simulate_fn=jittery,
     )
@@ -185,14 +170,15 @@ def test_nonadaptive_samples_independent_of_workers(sampler):
     assert by_id_serial == by_id_parallel  # same id -> same point, any schedule
 
 
-def test_parallel_worker_failures_are_isolated():
+@pytest.mark.parametrize("workers", [1, 4])
+def test_parallel_worker_failures_are_isolated(workers):
     def sometimes_broken(config, sample):
         if sample.values[0] < 0.25:
             raise RuntimeError("injected fault")
         return ca.default_simulator(config, sample)
 
-    config = make_config(max_samples=40, workers=4, seed=12)
-    result = ca.run_parallel(config, simulate_fn=sometimes_broken)
+    config = make_config(max_samples=40, workers=workers, seed=12)
+    result = ca.run_campaign(config, simulate_fn=sometimes_broken)
     assert result.failed > 0
     assert result.dispatched == 40
     assert len(result.records) + result.failed == result.dispatched
@@ -209,7 +195,7 @@ def test_parallel_stress_bookkeeping():
     config = make_config(
         sampler_name="mab", max_samples=60, workers=8, seed=42
     )
-    result = ca.run_parallel(config, simulate_fn=jittery)
+    result = ca.run_campaign(config, simulate_fn=jittery)
     assert result.dispatched == 60
     assert len(result.records) + result.failed == 60
     visits = np.array(result.snapshot["visits"])
@@ -231,7 +217,7 @@ def test_run_campaign_dispatches_on_worker_count():
 
 
 def test_artifacts_roundtrip(tmp_path):
-    result = ca.run_serial(make_config(max_samples=15, seed=8))
+    result = ca.run_campaign(make_config(max_samples=15, seed=8))
     paths = ca.write_artifacts(result, tmp_path)
     for p in paths.values():
         assert p.exists()
@@ -248,9 +234,18 @@ def test_artifacts_roundtrip(tmp_path):
     snapshot = json.loads((tmp_path / ca.SNAPSHOT_JSON).read_text())
     assert snapshot == result.snapshot
 
+    rebuilt = ca.read_result(tmp_path)
+    assert rebuilt.config.describe() == result.config.describe()
+    assert rebuilt.config.spec.names == result.config.spec.names
+    assert rebuilt.records == result.records
+    assert rebuilt.maximal == result.maximal
+    assert rebuilt.snapshot == result.snapshot
+    assert rebuilt.wall_seconds == result.wall_seconds
+    assert (rebuilt.dispatched, rebuilt.failed) == (15, 0)
+
 
 def test_jsonl_field_names_are_fixed(tmp_path):
-    result = ca.run_serial(make_config(max_samples=3))
+    result = ca.run_campaign(make_config(max_samples=3))
     ca.write_artifacts(result, tmp_path)
     with (tmp_path / ca.RECORDS_JSONL).open() as fh:
         first = json.loads(fh.readline())
@@ -258,7 +253,7 @@ def test_jsonl_field_names_are_fixed(tmp_path):
 
 
 def test_csv_tables_partition_records(tmp_path):
-    result = ca.run_serial(make_config(max_samples=25, seed=4))
+    result = ca.run_campaign(make_config(max_samples=25, seed=4))
     ca.write_artifacts(result, tmp_path)
 
     def rows(name):
@@ -320,7 +315,7 @@ def test_coverage_stats_empty_result_rejected():
 
 
 def test_coverage_stats_halton_visits_every_bucket():
-    result = ca.run_serial(make_config(sampler_name="halton", max_samples=1000))
+    result = ca.run_campaign(make_config(sampler_name="halton", max_samples=1000))
     stats = an.coverage_stats(result)
     for histogram in stats.bucket_histograms.values():
         assert all(count > 0 for count in histogram)
@@ -330,10 +325,10 @@ def test_coverage_stats_halton_visits_every_bucket():
 
 def test_coverage_stats_ci_only_for_random_like_samplers():
     halton = an.coverage_stats(
-        ca.run_serial(make_config(sampler_name="halton", max_samples=50))
+        ca.run_campaign(make_config(sampler_name="halton", max_samples=50))
     )
     mab = an.coverage_stats(
-        ca.run_serial(make_config(sampler_name="mab", max_samples=50))
+        ca.run_campaign(make_config(sampler_name="mab", max_samples=50))
     )
     assert halton.has_ci
     assert not mab.has_ci and mab.confidence is None

@@ -12,7 +12,7 @@ from falsify.campaign import (
     CampaignError,
     read_records,
     read_summary,
-    run_serial,
+    run_campaign,
 )
 from falsify.config import example_config, load_config, parse_config
 from falsify.errors import ConfigError
@@ -166,7 +166,7 @@ def test_run_aborts_with_exit_3_and_partial_artifacts(tmp_path, capsys, monkeypa
     cfg_path, out_dir = write_config(tmp_path, max_samples=20)
 
     def fake_run(config):
-        partial = run_serial(dataclasses.replace(config, max_samples=4))
+        partial = run_campaign(dataclasses.replace(config, max_samples=4))
         raise CampaignError("synthetic abort for testing", partial)
 
     monkeypatch.setattr(cli, "run_campaign", fake_run)
@@ -176,6 +176,22 @@ def test_run_aborts_with_exit_3_and_partial_artifacts(tmp_path, capsys, monkeypa
     # partial artifacts still land on disk
     assert (out_dir / "records.jsonl").exists()
     assert read_summary(out_dir)["totals"]["samples"] == 4
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_run_absent_agent_aborts_at_every_worker_count(tmp_path, capsys, workers):
+    # A spec naming an agent the scenario lacks fails on every sample: a
+    # config fault, so the campaign aborts instead of counting failures.
+    cfg_path, out_dir = write_config(
+        tmp_path, spec=[{"metric": "min_separation", "agent": "adv9"}]
+    )
+    rc, _, err = run_cli(capsys, "run", str(cfg_path), "--workers", workers)
+    assert rc == 3
+    assert "adv9" in err
+    assert (out_dir / "records.jsonl").exists()
+    summary = read_summary(out_dir)
+    assert summary["totals"]["samples"] == 0
+    assert summary["failed"] == 0
 
 
 def test_dump_trajectories_one_frame_per_line(tmp_path, capsys):

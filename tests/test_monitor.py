@@ -11,6 +11,7 @@ from falsify.monitor import (
     TERM_CLEARED,
     TERM_CRASH,
     TERM_TIME_LIMIT,
+    JointSeparation,
     MinSeparation,
     Specification,
     Trajectory,
@@ -213,6 +214,18 @@ class TestSpecFromConfig:
         assert spec.metrics[0].threshold == 5.0
         assert spec.metrics[1].threshold == 3.0
         assert spec.names == ("min_separation[adv0]", "min_separation[adv1]")
+
+        # to_config writes each metric kind as the entry that built it.
+        metrics = spec.metrics + (JointSeparation(("adv0", "adv1"), 2.5),)
+        entries = [m.to_config() for m in metrics]
+        assert entries[1] == {
+            "metric": "min_separation", "agent": "adv1", "threshold": 3.0
+        }
+        assert entries[2] == {
+            "metric": "joint_separation", "agents": ["adv0", "adv1"],
+            "threshold": 2.5,
+        }
+        assert spec_from_config(entries).metrics == metrics
 
     def test_rejects_unknown_metric(self):
         with pytest.raises(SpecError):
