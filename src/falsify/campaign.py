@@ -8,9 +8,10 @@ decides where the simulation runs.  At W=1 it runs inline on the
 coordinator.  At W>1 up to W samples are in flight on worker threads,
 and the coordinator, still the only thread that touches sampler state,
 applies feedback in completion order as it arrives (workers may finish
-out of dispatch order).  Simulation releases the interpreter lock — the
-compiled kernel runs lock-free and artificial delays sleep — so W
-workers overlap almost perfectly when simulation dominates.
+out of dispatch order).  Workers overlap only while simulation releases
+the interpreter lock: the numba kernel runs without it and an artificial
+delay sleeps, but the interpreted kernel holds it, so without numba the
+W threads share one interpreter's worth of kernel compute.
 
 Sample ids are assigned at dispatch and are dense over dispatched
 samples.  The failure policy is the same for every W.  A simulation or
@@ -420,12 +421,22 @@ class _Pool:
                 self._handle_next(block=True)
 
     def drain(self) -> None:
-        """After an abort, absorb what is still in flight."""
+        """After an abort, absorb what is still in flight.
+
+        A fault that aborts one sample usually aborts every other sample in
+        flight too, so those repeats are logged once, as a count.
+        """
+        repeats = []
         while self.in_flight > 0:
             try:
                 self._handle_next(block=True)
-            except FalsifyError:
-                logger.exception("secondary error while draining results")
+            except FalsifyError as exc:
+                repeats.append(exc)
+        if repeats:
+            logger.error(
+                "%d more in-flight sample(s) aborted while draining; first: %s",
+                len(repeats), repeats[0],
+            )
 
     def close(self) -> None:
         for _ in self.threads:

@@ -3,10 +3,17 @@
 This is the hot loop of every simulation: forward-Euler point-mass
 updates plus a small set of reactive rules (brake when near a target,
 wait until a target approaches, speed up when a target drifts laterally,
-change lanes around a target).  The same source is compiled with numba
-when available and falls back to plain Python; set FALSIFY_NUMBA=0 to
-force the fallback.  Both paths execute identical arithmetic, so results
-are bit-identical across backends.
+change lanes around a target).
+
+The loop has two sources.  ``_integrate_impl`` works on numpy arrays and
+is what numba compiles when it imports (FALSIFY_NUMBA=0 skips it).
+``integrate_python``, the interpreted backend, is the same arithmetic in
+the same order over Python lists and floats, because in the interpreter
+a numpy scalar index costs several times a list lookup.  A change to one
+must be made to the other: tests/test_kinematics.py runs
+``_integrate_impl`` uncompiled as the oracle and requires bit-identical
+trajectories from ``integrate_python`` (and from the compiled kernel
+where numba imports).
 
 Agents come in two steering modes.  Waypoint agents head straight for
 their next waypoint and advance through the list on capture.  Lane
@@ -74,6 +81,7 @@ def _integrate_impl(
     out_heading,
     out_speed,
 ):
+    # The numba source, and run uncompiled, the oracle for integrate_python.
     n = mode.shape[0]
     n_rules = rule_type.shape[1]
     wp_idx = np.zeros(n, dtype=np.int64)
@@ -210,7 +218,175 @@ def _integrate_impl(
     return frames, term
 
 
-integrate_python = _integrate_impl
+def integrate_python(
+    mode,
+    pos,
+    heading,
+    speed,
+    cruise,
+    accel,
+    waypoints,
+    wp_count,
+    goal_x,
+    lane_y,
+    rule_type,
+    rule_target,
+    rule_f,
+    dt,
+    max_frames,
+    crash_dist,
+    capture_radius,
+    lat_gain,
+):
+    """The interpreted kernel: ``_integrate_impl`` over lists and floats.
+
+    Takes the Scene arrays as nested lists (``ndarray.tolist()``) and
+    returns ``(positions, headings, speeds, term)``: headings and speeds
+    hold one list per recorded frame, positions every x and y flat, frame
+    by frame.  Every float goes through the same operations in the same
+    order as in ``_integrate_impl``, so the trajectories are bit-identical.
+    Each frame builds fresh state lists, so a recorded frame is never
+    written again and the frame-k snapshot the controls read is simply
+    the previous frame's lists.
+    """
+    hypot, atan2, cos, sin = math.hypot, math.atan2, math.cos, math.sin
+    n = len(mode)
+    pos = [tuple(p) for p in pos]
+    agents = []
+    for a in range(n):
+        rules = [
+            (rt, tgt, *f)
+            for rt, tgt, f in zip(rule_type[a], rule_target[a], rule_f[a])
+            if rt != RULE_NONE
+        ]
+        agents.append((
+            a, mode[a] == MODE_WAYPOINT, cruise[a], accel[a], lane_y[a],
+            rules, [0.0] * len(rules),
+        ))
+    wp_idx = [0] * n
+    pending = list(range(n))  # agents whose goal is not reached yet
+    # Positions are recorded flat, as they are computed: numpy converts a
+    # flat list of floats far faster than nested (x, y) tuples.
+    rec_pos = [c for p in pos for c in p]
+    record = rec_pos.append
+    rec_heading, rec_speed = [], []
+    term = CODE_TIME_LIMIT
+
+    for k in range(max_frames):
+        rec_heading.append(heading)
+        rec_speed.append(speed)
+
+        # Goal bookkeeping on the recorded state.
+        still = []
+        for a in pending:
+            x, y = pos[a]
+            if mode[a] == MODE_WAYPOINT:
+                i = wp_idx[a]
+                count = wp_count[a]
+                wps = waypoints[a]
+                while i < count and (
+                    hypot(wps[i][0] - x, wps[i][1] - y) < capture_radius
+                ):
+                    i += 1
+                wp_idx[a] = i
+                if i < count:
+                    still.append(a)
+            elif not x >= goal_x[a]:
+                still.append(a)
+        pending = still
+
+        x0, y0 = pos[0]
+        crashed = False
+        for x, y in pos[1:]:
+            if hypot(x - x0, y - y0) < crash_dist:
+                crashed = True
+                break
+        if crashed:
+            term = CODE_CRASH
+            break
+        if not pending:
+            term = CODE_CLEARED
+            break
+        if k == max_frames - 1:
+            term = CODE_TIME_LIMIT
+            break
+
+        # Controls read the frame-k snapshot (pos) so agent order cannot matter.
+        new_pos, new_heading, new_speed = [], [], []
+        for a, waypoint, target_speed, acc, y_des, rules, state in agents:
+            x, y = pos[a]
+            h = heading[a]
+            braking = False
+            brake_rate = 0.0
+            holding = False
+            for r, (rt, tgt, f0, f1, f2) in enumerate(rules):
+                tx, ty = pos[tgt]
+                if rt == RULE_BRAKE_AHEAD:
+                    dx = tx - x
+                    dy = ty - y
+                    ch = cos(h)
+                    sh = sin(h)
+                    along = dx * ch + dy * sh
+                    cross = -dx * sh + dy * ch
+                    if 0.0 < along < f0 and abs(cross) < f2:
+                        braking = True
+                        if f1 > brake_rate:
+                            brake_rate = f1
+                elif rt == RULE_BRAKE_NEAR:
+                    if hypot(tx - x, ty - y) < f0:
+                        braking = True
+                        if f1 > brake_rate:
+                            brake_rate = f1
+                elif rt == RULE_WAIT_UNTIL_NEAR:
+                    if state[r] == 0.0 and hypot(tx - x, ty - y) < f0:
+                        state[r] = 1.0
+                    if state[r] == 0.0:
+                        holding = True
+                elif rt == RULE_BOOST_ON_LATERAL:
+                    if state[r] == 0.0 and abs(ty - f2) > f0:
+                        state[r] = 1.0
+                    if state[r] == 1.0:
+                        target_speed = f1
+                elif rt == RULE_LANE_CHANGE:
+                    if state[r] == 0.0 and hypot(tx - x, ty - y) < f0:
+                        state[r] = 1.0
+                    if state[r] == 1.0 and x > tx + f2:
+                        state[r] = 2.0
+                    if state[r] == 1.0:
+                        y_des = f1
+            if holding or braking:
+                target_speed = 0.0
+
+            if waypoint:
+                i = wp_idx[a]
+                if i < wp_count[a]:
+                    wx, wy = waypoints[a][i]
+                    h = atan2(wy - y, wx - x)
+            else:
+                h = atan2(lat_gain * (y_des - y), 1.0)
+
+            v = speed[a]
+            if v < target_speed:
+                s = v + acc * dt
+                v = s if s < target_speed else target_speed
+            elif v > target_speed:
+                s = v - (brake_rate if braking else acc) * dt
+                v = s if s > target_speed else target_speed
+                if v < 0.0:
+                    v = 0.0
+
+            ch = cos(h)
+            sh = sin(h)
+            x += v * ch * dt
+            y += v * sh * dt
+            new_pos.append((x, y))
+            record(x)
+            record(y)
+            new_heading.append(h)
+            new_speed.append(v)
+        pos, heading, speed = new_pos, new_heading, new_speed
+
+    return rec_pos, rec_heading, rec_speed, term
 
 
 def numba_requested() -> bool:
@@ -236,7 +412,7 @@ def active_backend() -> str:
 
 
 def kernel_functions() -> dict:
-    """Both integrator entry points, for benchmarks and equivalence tests."""
+    """The available integrator backends by name; run_scene calls them."""
     out = {"python": integrate_python}
     if integrate_numba is not None:
         out["numba"] = integrate_numba
@@ -415,8 +591,8 @@ def run_scene(
 ):
     """Integrate a scene; returns (positions, headings, speeds, termination code).
 
-    Output arrays are trimmed to the recorded frame count.  ``backend``
-    forces "python" or "numba"; default follows the environment flag.
+    Output arrays hold the recorded frames only.  ``backend`` forces
+    "python" or "numba"; default follows the environment flag.
     """
     if not dt > 0:
         raise DomainError(f"dt must be positive, got {dt}")
@@ -424,13 +600,41 @@ def run_scene(
         raise DomainError(f"max_frames must be >= 1, got {max_frames}")
     fns = kernel_functions()
     if backend is None:
-        fn = fns.get("numba", fns["python"])
-    else:
-        if backend not in fns:
-            raise DomainError(
-                f"backend {backend!r} unavailable; have {sorted(fns)}"
-            )
-        fn = fns[backend]
+        backend = active_backend()
+    elif backend not in fns:
+        raise DomainError(f"backend {backend!r} unavailable; have {sorted(fns)}")
+    if backend == "numba":
+        return _run_arrays(integrate_numba, scene, float(dt), int(max_frames))
+    pos, heading, speed, code = integrate_python(
+        scene.mode.tolist(),
+        scene.pos.tolist(),
+        scene.heading.tolist(),
+        scene.speed.tolist(),
+        scene.cruise.tolist(),
+        scene.accel.tolist(),
+        scene.waypoints.tolist(),
+        scene.wp_count.tolist(),
+        scene.goal_x.tolist(),
+        scene.lane_y.tolist(),
+        scene.rule_type.tolist(),
+        scene.rule_target.tolist(),
+        scene.rule_f.tolist(),
+        float(dt),
+        int(max_frames),
+        CRASH_DISTANCE,
+        CAPTURE_RADIUS,
+        LATERAL_GAIN,
+    )
+    return (
+        np.array(pos, dtype=np.float64).reshape(len(speed), len(scene.agents), 2),
+        np.array(heading, dtype=np.float64),
+        np.array(speed, dtype=np.float64),
+        code,
+    )
+
+
+def _run_arrays(fn, scene: Scene, dt: float, max_frames: int):
+    """Run an array kernel (``_integrate_impl``, compiled or not) on a scene."""
     n = len(scene.agents)
     out_pos = np.empty((max_frames, n, 2))
     out_heading = np.empty((max_frames, n))
@@ -449,8 +653,8 @@ def run_scene(
         scene.rule_type,
         scene.rule_target,
         scene.rule_f,
-        float(dt),
-        int(max_frames),
+        dt,
+        max_frames,
         CRASH_DISTANCE,
         CAPTURE_RADIUS,
         LATERAL_GAIN,

@@ -178,8 +178,10 @@ def test_run_aborts_with_exit_3_and_partial_artifacts(tmp_path, capsys, monkeypa
     assert read_summary(out_dir)["totals"]["samples"] == 4
 
 
-@pytest.mark.parametrize("workers", ["1", "2"])
-def test_run_absent_agent_aborts_at_every_worker_count(tmp_path, capsys, workers):
+@pytest.mark.parametrize("workers", ["1", "2", "4"])
+def test_run_absent_agent_aborts_at_every_worker_count(
+    tmp_path, capsys, caplog, workers
+):
     # A spec naming an agent the scenario lacks fails on every sample: a
     # config fault, so the campaign aborts instead of counting failures.
     cfg_path, out_dir = write_config(
@@ -188,6 +190,10 @@ def test_run_absent_agent_aborts_at_every_worker_count(tmp_path, capsys, workers
     rc, _, err = run_cli(capsys, "run", str(cfg_path), "--workers", workers)
     assert rc == 3
     assert "adv9" in err
+    # The other samples in flight hit the same fault; their repeats are
+    # logged as one line, without tracebacks.
+    assert sum(1 for r in caplog.records if r.exc_info) <= 1
+    assert sum("while draining" in r.getMessage() for r in caplog.records) <= 1
     assert (out_dir / "records.jsonl").exists()
     summary = read_summary(out_dir)
     assert summary["totals"]["samples"] == 0

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from falsify import kinematics as kin
+from falsify import scenarios as sc
 from falsify.errors import DomainError
 
 HAS_NUMBA = "numba" in kin.kernel_functions()
@@ -279,6 +280,52 @@ def rich_scene():
     return b.build()
 
 
+def oracle(scene, dt=0.1, max_frames=300):
+    """The array kernel run uncompiled: the reference for every backend."""
+    return kin._run_arrays(kin._integrate_impl, scene, dt, max_frames)
+
+
+def assert_bit_identical(got, want):
+    assert got[3] == want[3]
+    for x, y in zip(got[:3], want[:3]):
+        assert x.dtype == y.dtype == np.float64
+        assert np.array_equal(x, y)
+        assert x.tobytes() == y.tobytes()  # signs of zero too
+
+
+def test_python_kernel_matches_oracle_on_rich_scene():
+    for dt, max_frames in ((0.1, 300), (0.05, 400), (0.25, 7)):
+        assert_bit_identical(
+            kin.run_scene(rich_scene(), dt=dt, max_frames=max_frames,
+                          backend="python"),
+            oracle(rich_scene(), dt, max_frames),
+        )
+
+
+@pytest.mark.parametrize("sid", sc.scenario_ids(catalog_only=False))
+def test_python_kernel_matches_oracle_on_known_unsafe(sid):
+    cfg = sc.ScenarioConfig(sid)
+    scene = sc.build_scene(cfg, sc.known_unsafe_values(cfg))
+    assert_bit_identical(
+        kin.run_scene(scene, dt=cfg.dt, max_frames=cfg.max_frames,
+                      backend="python"),
+        oracle(scene, cfg.dt, cfg.max_frames),
+    )
+
+
+def test_python_kernel_matches_oracle_on_intersection_draws():
+    cfg = sc.ScenarioConfig("intersection", adversaries=5)
+    bindings = sc.feature_bindings(cfg)
+    rng = np.random.default_rng(5)
+    for _ in range(24):
+        scene = sc.build_scene(cfg, [rng.uniform(f.lo, f.hi) for f in bindings])
+        assert_bit_identical(
+            kin.run_scene(scene, dt=cfg.dt, max_frames=cfg.max_frames,
+                          backend="python"),
+            oracle(scene, cfg.dt, cfg.max_frames),
+        )
+
+
 def test_same_backend_is_deterministic():
     a = kin.run_scene(rich_scene())
     b = kin.run_scene(rich_scene())
@@ -388,6 +435,15 @@ def test_motion_invariants(scene):
         # Each step is exactly that frame's recorded speed * dt.
         assert np.allclose(step, speed[1:] * dt, rtol=1e-9, atol=1e-12)
         assert step.max() <= speed.max() * dt + 1e-9
+
+
+@given(scenes())
+@settings(max_examples=80, deadline=None)
+def test_python_kernel_matches_oracle_property(scene):
+    assert_bit_identical(
+        kin.run_scene(scene, dt=0.1, max_frames=120, backend="python"),
+        oracle(scene, 0.1, 120),
+    )
 
 
 @pytest.mark.skipif(not HAS_NUMBA, reason="compiled backend not installed")
