@@ -5,15 +5,18 @@ updates plus a small set of reactive rules (brake when near a target,
 wait until a target approaches, speed up when a target drifts laterally,
 change lanes around a target).
 
-The loop has two sources.  ``_integrate_impl`` works on numpy arrays and
-is what numba compiles when it imports (FALSIFY_NUMBA=0 skips it).
-``integrate_python``, the interpreted backend, is the same arithmetic in
-the same order over Python lists and floats, because in the interpreter
-a numpy scalar index costs several times a list lookup.  A change to one
-must be made to the other: tests/test_kinematics.py runs
-``_integrate_impl`` uncompiled as the oracle and requires bit-identical
-trajectories from ``integrate_python`` (and from the compiled kernel
-where numba imports).
+The loop has two sources.  ``_integrate_impl`` works on numpy arrays: it
+is what numba compiles when it imports (FALSIFY_NUMBA=0 skips it) and,
+run uncompiled, the oracle.  ``_kernel_source`` is the generator behind
+the interpreted backend, ``integrate_python``: for each scene structure
+(agent count, modes, and each rule's type and target) it writes one
+straight-line Python function with the agent state in locals and the
+same arithmetic in the same order.  A change to one source must be made
+to the other.  In tests/test_kinematics.py the
+``test_python_kernel_matches_oracle_*`` and
+``test_generated_kernel_matches_oracle`` tests require bit-identical
+trajectories from the generated kernels (and the numba tests from the
+compiled one where numba imports).
 
 Agents come in two steering modes.  Waypoint agents head straight for
 their next waypoint and advance through the list on capture.  Lane
@@ -23,9 +26,11 @@ proportional heading law, which is what the lane-change rule perturbs.
 
 from __future__ import annotations
 
+import linecache
 import logging
 import math
 import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -218,175 +223,193 @@ def _integrate_impl(
     return frames, term
 
 
-def integrate_python(
-    mode,
-    pos,
-    heading,
-    speed,
-    cruise,
-    accel,
-    waypoints,
-    wp_count,
-    goal_x,
-    lane_y,
-    rule_type,
-    rule_target,
-    rule_f,
-    dt,
-    max_frames,
-    crash_dist,
-    capture_radius,
-    lat_gain,
-):
-    """The interpreted kernel: ``_integrate_impl`` over lists and floats.
+# Rule names by type, as a generated kernel's file name spells them.
+_RULE_NAMES = ("none", "brake_near", "wait_until_near", "boost_on_lateral",
+               "lane_change", "brake_ahead")
+_BRAKES = {RULE_BRAKE_NEAR, RULE_BRAKE_AHEAD}
 
-    Takes the Scene arrays as nested lists (``ndarray.tolist()``) and
-    returns ``(positions, headings, speeds, term)``: headings and speeds
-    hold one list per recorded frame, positions every x and y flat, frame
-    by frame.  Every float goes through the same operations in the same
-    order as in ``_integrate_impl``, so the trajectories are bit-identical.
-    Each frame builds fresh state lists, so a recorded frame is never
-    written again and the frame-k snapshot the controls read is simply
-    the previous frame's lists.
+# Compiled kernels kept, one per scene structure; a catalog scenario has one.
+KERNEL_CACHE_SIZE = 64
+_kernels: dict = {}
+_kernels_lock = threading.Lock()
+
+
+def _structure(mode, rule_type, rule_target):
+    """The ints a generated kernel depends on: ``(modes, rules)``.
+
+    Takes the Scene's int arrays as lists.  ``rules[a]`` holds
+    ``(slot, type, target)`` for each of agent a's rules but RULE_NONE.
+    Every value is checked, because the kernel source is built from these
+    ints and nothing else.
     """
-    hypot, atan2, cos, sin = math.hypot, math.atan2, math.cos, math.sin
     n = len(mode)
-    pos = [tuple(p) for p in pos]
-    agents = []
-    for a in range(n):
-        rules = [
-            (rt, tgt, *f)
-            for rt, tgt, f in zip(rule_type[a], rule_target[a], rule_f[a])
-            if rt != RULE_NONE
-        ]
-        agents.append((
-            a, mode[a] == MODE_WAYPOINT, cruise[a], accel[a], lane_y[a],
-            rules, [0.0] * len(rules),
-        ))
-    wp_idx = [0] * n
-    pending = list(range(n))  # agents whose goal is not reached yet
-    # Positions are recorded flat, as they are computed: numpy converts a
-    # flat list of floats far faster than nested (x, y) tuples.
-    rec_pos = [c for p in pos for c in p]
-    record = rec_pos.append
-    rec_heading, rec_speed = [], []
-    term = CODE_TIME_LIMIT
+    if n < 1 or len(rule_type) != n or len(rule_target) != n:
+        raise DomainError("scene arrays need one row per agent and >= 1 agent")
+    if any(m not in (MODE_WAYPOINT, MODE_LANE) for m in mode):
+        raise DomainError(f"unknown agent mode in {mode!r}")
+    rules = []
+    for a, (types, targets) in enumerate(zip(rule_type, rule_target)):
+        active = []
+        for slot, (rt, tgt) in enumerate(zip(types, targets)):
+            if rt == RULE_NONE:
+                continue
+            if rt not in range(1, len(_RULE_NAMES)) or tgt not in range(n):
+                raise DomainError(f"agent {a}: bad rule type {rt!r} or target {tgt!r}")
+            active.append((slot, int(rt), int(tgt)))
+        rules.append(tuple(active))
+    return tuple(int(m) for m in mode), tuple(rules)
 
-    for k in range(max_frames):
-        rec_heading.append(heading)
-        rec_speed.append(speed)
 
-        # Goal bookkeeping on the recorded state.
-        still = []
-        for a in pending:
-            x, y = pos[a]
-            if mode[a] == MODE_WAYPOINT:
-                i = wp_idx[a]
-                count = wp_count[a]
-                wps = waypoints[a]
-                while i < count and (
-                    hypot(wps[i][0] - x, wps[i][1] - y) < capture_radius
-                ):
-                    i += 1
-                wp_idx[a] = i
-                if i < count:
-                    still.append(a)
-            elif not x >= goal_x[a]:
-                still.append(a)
-        pending = still
+def _kernel_source(modes, rules) -> str:
+    """``_integrate_impl`` unrolled for one structure, as Python source.
 
-        x0, y0 = pos[0]
-        crashed = False
-        for x, y in pos[1:]:
-            if hypot(x - x0, y - y0) < crash_dist:
-                crashed = True
-                break
-        if crashed:
-            term = CODE_CRASH
-            break
-        if not pending:
-            term = CODE_CLEARED
-            break
-        if k == max_frames - 1:
-            term = CODE_TIME_LIMIT
-            break
+    Agent state lives in locals (``x0, y0, h0, v0, ...``) and each rule is
+    inlined with its type resolved; the floats stay arguments.  Every float
+    goes through the same operations in the same order as in
+    ``_integrate_impl``.  The one reuse, ``cos``/``sin`` of the frame-k
+    heading shared by an agent's brake-ahead rules, is the same value.
+    """
+    agents = range(len(modes))
+    lines = []
 
-        # Controls read the frame-k snapshot (pos) so agent order cannot matter.
-        new_pos, new_heading, new_speed = [], [], []
-        for a, waypoint, target_speed, acc, y_des, rules, state in agents:
-            x, y = pos[a]
-            h = heading[a]
-            braking = False
-            brake_rate = 0.0
-            holding = False
-            for r, (rt, tgt, f0, f1, f2) in enumerate(rules):
-                tx, ty = pos[tgt]
-                if rt == RULE_BRAKE_AHEAD:
-                    dx = tx - x
-                    dy = ty - y
-                    ch = cos(h)
-                    sh = sin(h)
-                    along = dx * ch + dy * sh
-                    cross = -dx * sh + dy * ch
-                    if 0.0 < along < f0 and abs(cross) < f2:
-                        braking = True
-                        if f1 > brake_rate:
-                            brake_rate = f1
-                elif rt == RULE_BRAKE_NEAR:
-                    if hypot(tx - x, ty - y) < f0:
-                        braking = True
-                        if f1 > brake_rate:
-                            brake_rate = f1
-                elif rt == RULE_WAIT_UNTIL_NEAR:
-                    if state[r] == 0.0 and hypot(tx - x, ty - y) < f0:
-                        state[r] = 1.0
-                    if state[r] == 0.0:
-                        holding = True
-                elif rt == RULE_BOOST_ON_LATERAL:
-                    if state[r] == 0.0 and abs(ty - f2) > f0:
-                        state[r] = 1.0
-                    if state[r] == 1.0:
-                        target_speed = f1
-                elif rt == RULE_LANE_CHANGE:
-                    if state[r] == 0.0 and hypot(tx - x, ty - y) < f0:
-                        state[r] = 1.0
-                    if state[r] == 1.0 and x > tx + f2:
-                        state[r] = 2.0
-                    if state[r] == 1.0:
-                        y_des = f1
-            if holding or braking:
-                target_speed = 0.0
+    def emit(depth, *texts):
+        lines.extend("    " * depth + t for t in texts)
 
-            if waypoint:
-                i = wp_idx[a]
-                if i < wp_count[a]:
-                    wx, wy = waypoints[a][i]
-                    h = atan2(wy - y, wx - x)
+    def row(fmt, among=agents):
+        return ", ".join(fmt.format(a=a) for a in among) + ","
+
+    # Controls read the frame-k values.  A later agent's rule may read an
+    # earlier agent's position, so that agent's new position is assigned
+    # only after every agent has updated.
+    deferred = sorted({b for a in agents for _, _, b in rules[a] if b < a})
+    emit(0, "def kernel(pos, heading, speed, cruise, accel, waypoints, wp_count,"
+            " goal_x, lane_y, rule_f, dt, max_frames, crash_dist, capture_radius,"
+            " lat_gain):")
+    emit(1, "hypot, atan2, cos, sin = math.hypot, math.atan2, math.cos, math.sin",
+         f"{row('(x{a}, y{a})')} = pos", f"{row('h{a}')} = heading",
+         f"{row('v{a}')} = speed", f"{row('c{a}')} = cruise",
+         f"{row('acc{a}')} = accel")
+    for a in agents:
+        if modes[a] == MODE_WAYPOINT:
+            emit(1, f"wps{a} = waypoints[{a}]", f"n{a} = wp_count[{a}]", f"i{a} = 0",
+                 f"wx{a}, wy{a} = wps{a}[0]")
+        else:
+            emit(1, f"gx{a} = goal_x[{a}]", f"ly{a} = lane_y[{a}]", f"done{a} = False")
+        for j, (slot, rt, _) in enumerate(rules[a]):
+            emit(1, f"f{a}_{j}_0, f{a}_{j}_1, f{a}_{j}_2 = rule_f[{a}][{slot}]")
+            if rt not in _BRAKES:
+                emit(1, f"s{a}_{j} = 0.0")
+    emit(1, "rec_pos, rec_heading, rec_speed = [], [], []", f"term = {CODE_TIME_LIMIT}",
+         "last = max_frames - 1", "for k in range(max_frames):")
+    emit(2, f"rec_pos.extend(({row('x{a}, y{a}')}))",
+         f"rec_heading.extend(({row('h{a}')}))", f"rec_speed.extend(({row('v{a}')}))",
+         "# Goal bookkeeping on the recorded state.")
+    for a in agents:
+        if modes[a] == MODE_WAYPOINT:
+            emit(2, f"while i{a} < n{a} and"
+                    f" hypot(wx{a} - x{a}, wy{a} - y{a}) < capture_radius:")
+            emit(3, f"i{a} += 1", f"if i{a} < n{a}:")
+            emit(4, f"wx{a}, wy{a} = wps{a}[i{a}]")
+        else:
+            emit(2, f"if x{a} >= gx{a}:")
+            emit(3, f"done{a} = True")
+    for a in agents[1:]:
+        emit(2, f"if hypot(x{a} - x0, y{a} - y0) < crash_dist:")
+        emit(3, f"term = {CODE_CRASH}", "break")
+    emit(2, "if " + " and ".join(
+        f"i{a} >= n{a}" if modes[a] == MODE_WAYPOINT else f"done{a}" for a in agents
+    ) + ":")
+    emit(3, f"term = {CODE_CLEARED}", "break")
+    emit(2, "if k == last:")
+    emit(3, "break")
+    for a in agents:
+        kinds = {rt for _, rt, _ in rules[a]}
+        brakes = bool(kinds & _BRAKES)
+        emit(2, f"# Agent {a}.", f"ts = c{a}")
+        if brakes:
+            emit(2, "braking = False", "brake_rate = 0.0")
+        if RULE_WAIT_UNTIL_NEAR in kinds:
+            emit(2, "holding = False")
+        if modes[a] == MODE_LANE:
+            emit(2, f"y_des = ly{a}")
+        if RULE_BRAKE_AHEAD in kinds:
+            emit(2, f"ch = cos(h{a})", f"sh = sin(h{a})")
+        for j, (_, rt, b) in enumerate(rules[a]):
+            f0, f1, f2, s = f"f{a}_{j}_0", f"f{a}_{j}_1", f"f{a}_{j}_2", f"s{a}_{j}"
+            gap = f"hypot(x{b} - x{a}, y{b} - y{a})"
+            if rt == RULE_BRAKE_AHEAD:
+                emit(2, f"dx = x{b} - x{a}", f"dy = y{b} - y{a}",
+                     "along = dx * ch + dy * sh", "cross = -dx * sh + dy * ch",
+                     f"if 0.0 < along < {f0} and abs(cross) < {f2}:")
+            elif rt == RULE_BRAKE_NEAR:
+                emit(2, f"if {gap} < {f0}:")
+            elif rt == RULE_BOOST_ON_LATERAL:
+                emit(2, f"if {s} == 0.0 and abs(y{b} - {f2}) > {f0}:")
             else:
-                h = atan2(lat_gain * (y_des - y), 1.0)
+                emit(2, f"if {s} == 0.0 and {gap} < {f0}:")
+            if rt in _BRAKES:
+                emit(3, "braking = True", f"if {f1} > brake_rate:")
+                emit(4, f"brake_rate = {f1}")
+                continue
+            emit(3, f"{s} = 1.0")
+            if rt == RULE_WAIT_UNTIL_NEAR:
+                emit(2, f"if {s} == 0.0:")
+                emit(3, "holding = True")
+                continue
+            if rt == RULE_LANE_CHANGE:
+                emit(2, f"if {s} == 1.0 and x{a} > x{b} + {f2}:")
+                emit(3, f"{s} = 2.0")
+            emit(2, f"if {s} == 1.0:")
+            emit(3, f"ts = {f1}" if rt == RULE_BOOST_ON_LATERAL else f"y_des = {f1}")
+        stops = ["holding"] * (RULE_WAIT_UNTIL_NEAR in kinds) + ["braking"] * brakes
+        if stops:
+            emit(2, f"if {' or '.join(stops)}:")
+            emit(3, "ts = 0.0")
+        if modes[a] == MODE_WAYPOINT:
+            emit(2, f"if i{a} < n{a}:")
+            emit(3, f"h{a} = atan2(wy{a} - y{a}, wx{a} - x{a})")
+        else:
+            emit(2, f"h{a} = atan2(lat_gain * (y_des - y{a}), 1.0)")
+        emit(2, f"if v{a} < ts:")
+        emit(3, f"u = v{a} + acc{a} * dt", f"v{a} = u if u < ts else ts")
+        emit(2, f"elif v{a} > ts:")
+        rate = f"(brake_rate if braking else acc{a})" if brakes else f"acc{a}"
+        emit(3, f"u = v{a} - {rate} * dt", f"v{a} = u if u > ts else ts",
+             f"if v{a} < 0.0:")
+        emit(4, f"v{a} = 0.0")
+        new = "n" if a in deferred else ""
+        emit(2, f"{new}x{a} = x{a} + v{a} * cos(h{a}) * dt",
+             f"{new}y{a} = y{a} + v{a} * sin(h{a}) * dt")
+    if deferred:
+        emit(2, f"{row('x{a}, y{a}', deferred)} = {row('nx{a}, ny{a}', deferred)}")
+    emit(1, "return rec_pos, rec_heading, rec_speed, term")
+    return "\n".join(lines) + "\n"
 
-            v = speed[a]
-            if v < target_speed:
-                s = v + acc * dt
-                v = s if s < target_speed else target_speed
-            elif v > target_speed:
-                s = v - (brake_rate if braking else acc) * dt
-                v = s if s > target_speed else target_speed
-                if v < 0.0:
-                    v = 0.0
 
-            ch = cos(h)
-            sh = sin(h)
-            x += v * ch * dt
-            y += v * sh * dt
-            new_pos.append((x, y))
-            record(x)
-            record(y)
-            new_heading.append(h)
-            new_speed.append(v)
-        pos, heading, speed = new_pos, new_heading, new_speed
+def _compiled(structure):
+    """The kernel for a structure, generated and compiled on first use.
 
-    return rec_pos, rec_heading, rec_speed, term
+    Its source is registered in ``linecache`` under a file name that spells
+    the structure, so tracebacks, profiles and ``inspect`` show its lines.
+    """
+    with _kernels_lock:
+        if structure not in _kernels:
+            modes, rules = structure
+            source = _kernel_source(modes, rules)
+            filename = "<falsify.kinematics kernel: %s>" % "; ".join(
+                " ".join(["waypoint" if m == MODE_WAYPOINT else "lane"]
+                         + [f"{_RULE_NAMES[rt]}->{b}" for _, rt, b in rules[a]])
+                for a, m in enumerate(modes)
+            )
+            namespace = {"math": math}
+            exec(compile(source, filename, "exec"), namespace)
+            while len(_kernels) >= KERNEL_CACHE_SIZE:
+                evicted = _kernels.pop(next(iter(_kernels)))
+                linecache.cache.pop(evicted.__code__.co_filename, None)
+            lines = source.splitlines(True)
+            linecache.cache[filename] = (len(source), None, lines, filename)
+            _kernels[structure] = namespace["kernel"]
+        return _kernels[structure]
 
 
 def numba_requested() -> bool:
@@ -605,30 +628,32 @@ def run_scene(
         raise DomainError(f"backend {backend!r} unavailable; have {sorted(fns)}")
     if backend == "numba":
         return _run_arrays(integrate_numba, scene, float(dt), int(max_frames))
-    pos, heading, speed, code = integrate_python(
-        scene.mode.tolist(),
-        scene.pos.tolist(),
-        scene.heading.tolist(),
-        scene.speed.tolist(),
-        scene.cruise.tolist(),
-        scene.accel.tolist(),
-        scene.waypoints.tolist(),
-        scene.wp_count.tolist(),
-        scene.goal_x.tolist(),
-        scene.lane_y.tolist(),
-        scene.rule_type.tolist(),
-        scene.rule_target.tolist(),
-        scene.rule_f.tolist(),
-        float(dt),
-        int(max_frames),
-        CRASH_DISTANCE,
-        CAPTURE_RADIUS,
+    return integrate_python(scene, float(dt), int(max_frames))
+
+
+def integrate_python(scene: Scene, dt: float, max_frames: int):
+    """The interpreted backend: run the scene's generated kernel.
+
+    The kernel for the scene's structure (``_structure``) is straight-line
+    Python from ``_kernel_source``.  It takes the Scene arrays as lists
+    and records each trajectory flat, frame after frame; here they are
+    shaped into the same arrays ``_run_arrays`` returns, bit for bit.
+    """
+    kernel = _compiled(_structure(
+        scene.mode.tolist(), scene.rule_type.tolist(), scene.rule_target.tolist()
+    ))
+    pos, heading, speed, code = kernel(
+        scene.pos.tolist(), scene.heading.tolist(), scene.speed.tolist(),
+        scene.cruise.tolist(), scene.accel.tolist(), scene.waypoints.tolist(),
+        scene.wp_count.tolist(), scene.goal_x.tolist(), scene.lane_y.tolist(),
+        scene.rule_f.tolist(), dt, max_frames, CRASH_DISTANCE, CAPTURE_RADIUS,
         LATERAL_GAIN,
     )
+    frames = len(speed) // len(scene.agents)
     return (
-        np.array(pos, dtype=np.float64).reshape(len(speed), len(scene.agents), 2),
-        np.array(heading, dtype=np.float64),
-        np.array(speed, dtype=np.float64),
+        np.array(pos, dtype=np.float64).reshape(frames, -1, 2),
+        np.array(heading, dtype=np.float64).reshape(frames, -1),
+        np.array(speed, dtype=np.float64).reshape(frames, -1),
         code,
     )
 

@@ -256,10 +256,7 @@ class CrossEntropySampler(Sampler):
             int(rng.choice(space.bucket_count, p=self.weights[i]))
             for i in range(space.d)
         ]
-        values = [
-            space.sample_in_bucket(i, b, rng) for i, b in enumerate(buckets)
-        ]
-        return values, buckets
+        return space.sample_in_buckets(buckets, rng), buckets
 
     def _absorb(self, feedback):
         if not feedback.is_counterexample:
@@ -339,16 +336,15 @@ class MultiArmedBanditSampler(Sampler):
             buckets = [self.init_cursor] * space.d
             self.init_cursor += 1
         else:
+            # Ties for every dimension at once.  A single tied bucket needs
+            # no draw: rng.integers(1) returns 0 and leaves the stream as is.
             q = self.ucb_scores()
-            buckets = []
-            for i in range(space.d):
-                row = q[i]
-                ties = np.flatnonzero(row == row.max())
-                buckets.append(int(ties[rng.integers(ties.size)]))
-        values = [
-            space.sample_in_bucket(i, b, rng) for i, b in enumerate(buckets)
-        ]
-        return values, buckets
+            tied = q == q.max(axis=1, keepdims=True)
+            buckets = tied.argmax(axis=1).tolist()
+            for i in np.flatnonzero(tied.sum(axis=1) > 1).tolist():
+                ties = np.flatnonzero(tied[i])
+                buckets[i] = int(ties[rng.integers(ties.size)])
+        return space.sample_in_buckets(buckets, rng), buckets
 
     # -- feedback ----------------------------------------------------------
 

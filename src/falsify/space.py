@@ -118,14 +118,24 @@ class FeatureSpace:
         hi = d.hi if bucket == n - 1 else d.lo + (bucket + 1) * w
         return d.lo + bucket * w, hi
 
-    def sample_in_bucket(self, dim: int, bucket: int, rng: np.random.Generator) -> float:
-        """Uniform draw within one bucket; the result maps back to that bucket."""
-        lo, hi = self.bucket_bounds(dim, bucket)
-        v = lo + rng.random() * (hi - lo)
-        # Guard against float round-up at the shared bucket edge.
-        while self.bucket_index(dim, v) != bucket:
-            v = math.nextafter(v, lo)
-        return v
+    def sample_in_buckets(
+        self, buckets: Sequence[int], rng: np.random.Generator
+    ) -> list[float]:
+        """One uniform draw within each dimension's bucket, dimension by dimension.
+
+        The offsets come from one ``rng.random(d)``, the same values as d
+        scalar draws; each result maps back to its bucket.
+        """
+        self._check_length(buckets)
+        out = []
+        for dim, (bucket, u) in enumerate(zip(buckets, rng.random(self.d).tolist())):
+            lo, hi = self.bucket_bounds(dim, bucket)
+            v = lo + u * (hi - lo)
+            # Guard against float round-up at the shared bucket edge.
+            while self.bucket_index(dim, v) != bucket:
+                v = math.nextafter(v, lo)
+            out.append(v)
+        return out
 
     def buckets_of(self, values: Sequence[float]) -> tuple[int, ...]:
         self._check_length(values)

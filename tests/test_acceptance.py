@@ -35,6 +35,8 @@ from falsify.scenarios import (
 )
 from falsify.space import Dimension, FeatureSpace
 
+pytestmark = pytest.mark.acceptance
+
 
 @contextmanager
 def criterion(capsys, num, description):

@@ -1,10 +1,14 @@
 """Integrator unit tests: builder validation, rule behaviors, terminations,
 backend equivalence, and motion invariants."""
 
+import inspect
+import itertools
+import linecache
 import math
 import os
 import subprocess
 import sys
+import traceback
 
 import numpy as np
 import pytest
@@ -324,6 +328,149 @@ def test_python_kernel_matches_oracle_on_intersection_draws():
                           backend="python"),
             oracle(scene, cfg.dt, cfg.max_frames),
         )
+
+
+def structure(scene):
+    return kin._structure(
+        scene.mode.tolist(), scene.rule_type.tolist(), scene.rule_target.tolist()
+    )
+
+
+def one_agent_scene():
+    """No crash check; the first waypoint sits exactly on the capture radius."""
+    b = kin.SceneBuilder()
+    b.add_waypoint_agent(
+        "ego", (0.0, 0.0), [(0.0, kin.CAPTURE_RADIUS), (30.0, 4.0)], speed=6.0
+    )
+    return b.build()
+
+
+def max_rules_scene():
+    """MAX_RULES rules of every type on one lane agent."""
+    b = kin.SceneBuilder()
+    ego = b.add_lane_agent("ego", (0.0, -3.0), speed=8.0, goal_x=150.0)
+    lead = b.add_lane_agent("lead", (20.0, -3.0), speed=3.0, goal_x=150.0)
+    walker = b.add_waypoint_agent(
+        "walker", (50.0, -8.0), [(50.0, 8.0)], speed=0.0, cruise=1.5
+    )
+    b.lane_change(ego, lead, trigger=12.0, to_y=3.0, clear_margin=6.0)
+    b.brake_ahead(ego, walker, trigger=14.0, decel=7.0, corridor=3.0)
+    b.wait_until_near(ego, lead, trigger=30.0)
+    b.boost_on_lateral(ego, walker, offset_threshold=2.0, boost_speed=10.0,
+                       ref_y=-8.0)
+    b.brake_near(ego, walker, trigger=6.0, decel=9.0)
+    b.brake_ahead(ego, lead, trigger=8.0, decel=5.0, corridor=2.0)
+    b.lane_change(ego, walker, trigger=20.0, to_y=-6.0, clear_margin=2.0)
+    b.boost_on_lateral(ego, lead, offset_threshold=1.0, boost_speed=12.0,
+                       ref_y=-3.0)
+    scene = b.build()
+    assert scene.rule_type.shape == (3, kin.MAX_RULES)
+    return scene
+
+
+def mutual_scene():
+    """Rules from a to b and from b to a: each must read frame-k positions."""
+    b = kin.SceneBuilder()
+    a0 = b.add_lane_agent("a0", (0.0, 0.0), speed=9.0, goal_x=200.0)
+    a1 = b.add_waypoint_agent("a1", (30.0, -12.0), [(30.0, 30.0)], speed=4.0)
+    a2 = b.add_lane_agent("a2", (12.0, 0.0), speed=3.0, goal_x=200.0)
+    b.brake_near(a0, a2, trigger=7.0, decel=4.0)
+    b.brake_near(a2, a0, trigger=8.0, decel=3.0)
+    b.boost_on_lateral(a2, a1, offset_threshold=3.0, boost_speed=11.0,
+                       ref_y=-12.0)
+    b.wait_until_near(a1, a0, trigger=26.0)
+    b.lane_change(a2, a0, trigger=9.0, to_y=4.0, clear_margin=1.0)
+    b.brake_ahead(a1, a2, trigger=10.0, decel=6.0, corridor=3.0)
+    return b.build()
+
+
+@pytest.mark.parametrize("make, dt, max_frames", [
+    (one_agent_scene, 0.1, 300),
+    (max_rules_scene, 0.1, 300),
+    (mutual_scene, 0.1, 300),
+    (mutual_scene, 0.05, 500),
+    (rich_scene, 0.1, 1),
+    (one_agent_scene, 0.1, 1),
+])
+def test_generated_kernel_matches_oracle(make, dt, max_frames):
+    scene = make()
+    assert_bit_identical(
+        kin.run_scene(scene, dt=dt, max_frames=max_frames, backend="python"),
+        oracle(scene, dt, max_frames),
+    )
+
+
+def test_generated_kernel_depends_on_structure_only():
+    cfg = sc.ScenarioConfig("intersection", adversaries=5)
+    bindings = sc.feature_bindings(cfg)
+    rng = np.random.default_rng(11)
+    one, two = (
+        sc.build_scene(cfg, [rng.uniform(f.lo, f.hi) for f in bindings])
+        for _ in range(2)
+    )
+    assert not np.array_equal(one.pos, two.pos)
+    assert structure(one) == structure(two)
+    assert kin._compiled(structure(one)) is kin._compiled(structure(two))
+    # Agent names and float values never reach the source.
+    renamed = kin.Scene(**{**vars(two), "agents": ("x = 1; import os",) * 6})
+    assert structure(renamed) == structure(one)
+    source = kin._kernel_source(*structure(one))
+    assert source == kin._kernel_source(*structure(two))
+    for value in np.concatenate([one.pos.ravel(), one.rule_f.ravel()]):
+        if value not in (0.0, 1.0, 2.0):
+            assert repr(float(value)) not in source
+
+
+@pytest.mark.parametrize("field, value", [
+    ("mode", [2, 0]),
+    ("rule_type", [[6], [0]]),
+    ("rule_target", [[2], [0]]),
+    ("rule_target", [[0.5], [0]]),
+])
+def test_generated_kernel_rejects_bad_structure(field, value):
+    b = kin.SceneBuilder()
+    b.add_lane_agent("ego", (0.0, 0.0), speed=5.0, goal_x=100.0)
+    b.brake_near(0, b.add_lane_agent("lead", (9.0, 0.0), speed=2.0, goal_x=100.0),
+                 trigger=5.0, decel=4.0)
+    scene = b.build()
+    setattr(scene, field, np.array(value))
+    with pytest.raises(DomainError):
+        kin.run_scene(scene, backend="python")
+
+
+def test_generated_kernel_cache_is_bounded():
+    kinds = range(kin.RULE_BRAKE_NEAR, kin.RULE_BRAKE_AHEAD + 1)
+    structures = [
+        ((kin.MODE_LANE, kin.MODE_LANE),
+         (tuple((slot, rt, 1) for slot, rt in enumerate(seq)), ()))
+        for seq in itertools.product(kinds, repeat=3)
+    ]
+    assert len(structures) > kin.KERNEL_CACHE_SIZE
+    names = [kin._compiled(s).__code__.co_filename for s in structures]
+    assert len(set(names)) == len(structures)
+    assert len(kin._kernels) == kin.KERNEL_CACHE_SIZE
+    # An evicted kernel's source leaves linecache with it.
+    assert names[0] not in linecache.cache
+    assert names[-1] in linecache.cache
+
+
+def test_generated_kernel_source_is_in_linecache():
+    fn = kin._compiled(structure(rich_scene()))
+    filename = fn.__code__.co_filename
+    assert filename == (
+        "<falsify.kinematics kernel: lane lane_change->1 brake_near->2"
+        " brake_ahead->3; lane boost_on_lateral->0; lane;"
+        " waypoint wait_until_near->0>"
+    )
+    source = kin._kernel_source(*structure(rich_scene()))
+    assert inspect.getsource(fn) == source
+    # A fault inside the kernel names the generated line it happened on.
+    with pytest.raises(TypeError) as info:
+        fn(*[None] * 15)
+    frame = traceback.extract_tb(info.value.__traceback__)[-1]
+    assert frame.filename == filename
+    assert frame.line == linecache.getline(filename, frame.lineno).strip()
+    assert frame.line == "(x0, y0), (x1, y1), (x2, y2), (x3, y3), = pos"
 
 
 def test_same_backend_is_deterministic():

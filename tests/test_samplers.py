@@ -379,6 +379,71 @@ def test_mab_uniform_tie_breaks():
     assert np.all(np.abs(counts / draws - p) <= 3 * sigma), counts
 
 
+def loop_draw(self, sample_id, rng):
+    """MultiArmedBanditSampler._draw as one numpy pass per dimension: the oracle."""
+    space = self.space
+    if self.init_cursor < space.bucket_count:
+        buckets = [self.init_cursor] * space.d
+        self.init_cursor += 1
+    else:
+        q = self.ucb_scores()
+        buckets = []
+        for i in range(space.d):
+            row = q[i]
+            ties = np.flatnonzero(row == row.max())
+            buckets.append(int(ties[rng.integers(ties.size)]))
+    values = []
+    for i, b in enumerate(buckets):
+        lo, hi = space.bucket_bounds(i, b)
+        v = lo + rng.random() * (hi - lo)
+        while space.bucket_index(i, v) != b:
+            v = math.nextafter(v, lo)
+        values.append(v)
+    return values, buckets
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_mab_draw_matches_per_dimension_loop(seed):
+    space = FeatureSpace(
+        [Dimension(f"x{i}", -1.0 - i, 0.1 + 3.0 * i) for i in range(7)],
+        bucket_count=4,
+    )
+    new, old = (
+        sa.make_sampler("mab", space, seed, rulebook=rb.disconnected(2))
+        for _ in range(2)
+    )
+    old._draw = loop_draw.__get__(old)
+    rng = np.random.default_rng(1000 + seed)
+    pending, tie_patterns = [], set()
+    for step in range(150):
+        if new.init_cursor == space.bucket_count:
+            q = new.ucb_scores()
+            ties = (q == q.max(axis=1, keepdims=True)).sum(axis=1)
+            tie_patterns.add(frozenset((ties > 1).tolist()))
+        sample = new.next_sample()
+        assert sample == old.next_sample()
+        pending.append(sample)
+        # No feedback until past warm-up, so the first bandit draws see
+        # every bucket unvisited; then late, out-of-order feedback leaves
+        # buckets partly visited, with ties in some dimensions only.
+        while step > space.bucket_count + 2 and pending and rng.random() < 0.7:
+            done = pending.pop(int(rng.integers(len(pending))))
+            feedback = sa.SampleFeedback.from_rho(done, rng.normal(size=2) + 0.5)
+            new.update(feedback)
+            old.update(feedback)
+    np.testing.assert_array_equal(new.visits, old.visits)
+    # Draws where every dimension, some, and none had several tied buckets.
+    assert tie_patterns == {frozenset({True}), frozenset({True, False}),
+                            frozenset({False})}
+
+
+def test_numpy_draws_the_mab_sampler_relies_on():
+    a, b = np.random.default_rng(7), np.random.default_rng(7)
+    assert a.integers(1) == 0
+    assert a.random() == b.random()  # integers(1) consumed nothing
+    assert a.random(5).tolist() == [b.random() for _ in range(5)]
+
+
 def test_mab_tolerates_async_feedback():
     # next_sample may run ahead of update; unvisited buckets score +inf
     # and are explored first once initialization calls are exhausted.

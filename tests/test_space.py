@@ -133,14 +133,14 @@ class TestSampleInBucket:
         space = FeatureSpace([Dimension("x", lo, hi)], bucket_count=n)
         bucket = min(int(bucket_u * n), n - 1)
         rng = np.random.default_rng(seed)
-        v = space.sample_in_bucket(0, bucket, rng)
+        v, = space.sample_in_buckets([bucket], rng)
         assert space.bucket_index(0, v) == bucket
 
     def test_draws_are_uniform_within_bucket(self):
         # Bucket 3 of 5 over [0, 10] covers [6, 8): mean should sit near 7.
         space = FeatureSpace([make_dim(lo=0, hi=10)], bucket_count=5)
         rng = np.random.default_rng(1234)
-        draws = [space.sample_in_bucket(0, 3, rng) for _ in range(4000)]
+        draws = [space.sample_in_buckets([3], rng)[0] for _ in range(4000)]
         assert abs(float(np.mean(draws)) - 7.0) < 0.05
         assert min(draws) >= 6.0
         assert max(draws) < 8.0
