@@ -3,15 +3,17 @@ result persistence.
 
 A coordinator owns the sampler and the result tables, draws samples,
 hands them to a simulator, and folds the evaluated outcome back into the
-sampler.  Each step is written once on ``_Runner``; the worker count only
-decides where the simulation runs.  At W=1 it runs inline on the
-coordinator.  At W>1 up to W samples are in flight on worker threads,
-and the coordinator, still the only thread that touches sampler state,
-applies feedback in completion order as it arrives (workers may finish
-out of dispatch order).  Workers overlap only while simulation releases
-the interpreter lock: the numba kernel runs without it and an artificial
-delay sleeps, but the interpreted kernel holds it, so without numba the
-W threads share one interpreter's worth of kernel compute.
+sampler, which also keeps the maximal set of counterexample vectors
+under the rulebook.  Each step is written once on ``_Runner``; the
+worker count only decides where the simulation runs.  At W=1 it runs
+inline on the coordinator.  At W>1 up to W samples are in flight on
+worker threads, and the coordinator, still the only thread that touches
+sampler state, applies feedback in completion order as it arrives
+(workers may finish out of dispatch order).  Workers overlap only while
+simulation releases the interpreter lock: the numba kernel runs without
+it and an artificial delay sleeps, but the interpreted kernel holds it,
+so without numba the W threads share one interpreter's worth of kernel
+compute.
 
 Sample ids are assigned at dispatch and are dense over dispatched
 samples.  The failure policy is the same for every W.  A simulation or
@@ -38,12 +40,7 @@ from pathlib import Path
 from .errors import ConfigError, FalsifyError
 from .monitor import Specification, evaluate, falsification_vector
 from .rulebook import FalsificationVector, Rulebook
-from .samplers import (
-    DEFAULT_ALPHA,
-    SAMPLER_NAMES,
-    SampleFeedback,
-    make_sampler,
-)
+from .samplers import DEFAULT_ALPHA, SAMPLER_NAMES, make_sampler
 from .scenarios import (
     ScenarioConfig,
     feature_bindings,
@@ -270,7 +267,6 @@ class _Runner:
             alpha=config.alpha,
         )
         self.records: list[SampleRecord] = []
-        self.maximal: list[FalsificationVector] = []
         self.failed = 0
         self.dispatched = 0
         self.t0 = time.perf_counter()
@@ -341,24 +337,14 @@ class _Runner:
 
     def absorb(self, record: SampleRecord) -> None:
         """Fold one completed sample into sampler state and the tables."""
-        feedback = SampleFeedback(
-            sample=record.sample,
-            rho=record.rho,
-            b=record.b,
-            is_counterexample=record.is_counterexample,
-        )
-        self.sampler.update(feedback)
+        self.sampler.update(record)
         self.records.append(record)
-        if record.is_counterexample:
-            self.maximal, _ = self.config.rulebook.insert_maximal(
-                self.maximal, record.b
-            )
 
     def result(self) -> CampaignResult:
         return CampaignResult(
             config=self.config,
             records=tuple(sorted(self.records, key=lambda r: r.id)),
-            maximal=tuple(self.maximal),
+            maximal=tuple(self.sampler.maximal),
             snapshot=self.sampler.snapshot(),
             wall_seconds=self.elapsed(),
             dispatched=self.dispatched,

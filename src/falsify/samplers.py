@@ -10,6 +10,10 @@ Four interchangeable strategies over a bucketized feature space:
 - ``mab``: the upper-confidence-bound bandit over buckets, tracking
   per-bucket visit counts and per-maximal-counterexample hit counts.
 
+Every sampler owns its campaign's maximal set: the counterexample bit
+vectors that no other strictly dominates under the rulebook, in admission
+order.  ``update`` offers the set only bits that are not yet members.
+
 All randomness is drawn from a generator derived from (master seed,
 sample id), so a sampler's output for sample k depends only on the seed,
 k, and the feedback absorbed so far — never on call interleaving.  That
@@ -83,20 +87,23 @@ def compute_ucb(mu_hat: float, visits: int, t: int) -> float:
 
 
 class Sampler:
-    """Common shell: seed handling, counters, and the sampling loop.
+    """Common shell: seed handling, counters, maximal set, sampling loop.
 
     Subclasses implement ``_draw(sample_id, rng) -> (values, buckets)``
     and optionally ``_absorb(feedback)``.  A sampler must be initialized
-    over a feature space (directly or via ``make_sampler``) before use.
+    over a feature space (directly or via ``make_sampler``) before use,
+    and needs a rulebook once it is fed a counterexample.
     """
 
     name = "base"
 
-    def __init__(self, seed: int):
+    def __init__(self, seed: int, rulebook: Rulebook | None = None):
         self.seed = int(seed)
+        self.rulebook = rulebook
         self.space: FeatureSpace | None = None
         self.issued = 0     # next_sample calls so far
         self.completed = 0  # update calls so far
+        self.maximal: list[FalsificationVector] = []  # in admission order
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -136,7 +143,10 @@ class Sampler:
 
     # -- feedback ----------------------------------------------------------
 
-    def update(self, feedback: SampleFeedback) -> None:
+    def update(self, feedback) -> None:
+        """Fold in one completed sample: reads ``feedback.sample``, ``.b`` and
+        ``.is_counterexample`` (a SampleFeedback or a campaign SampleRecord).
+        """
         space = self._require_space()
         buckets = feedback.sample.buckets
         if len(buckets) != space.d:
@@ -146,6 +156,17 @@ class Sampler:
         for i, j in enumerate(buckets):
             if not 0 <= j < space.bucket_count:
                 raise StateError(f"bucket index {j} out of range (dimension {i})")
+        if feedback.is_counterexample:
+            bits = tuple(bool(x) for x in feedback.b)
+            if bits not in self.maximal:
+                if self.rulebook is None:
+                    raise StateError(f"{self.name!r} sampler has no rulebook")
+                if len(bits) != self.rulebook.metric_count:
+                    raise DomainError(
+                        f"falsification vector has {len(bits)} bits, "
+                        f"rulebook tracks {self.rulebook.metric_count} metrics"
+                    )
+                self.maximal, _ = self.rulebook.insert_maximal(self.maximal, bits)
         self._absorb(feedback)
         self.completed += 1
 
@@ -164,6 +185,7 @@ class Sampler:
             "completed": self.completed,
             "dimensions": list(space.names) if space else None,
             "bucket_count": space.bucket_count if space else None,
+            "maximal": [list(bits) for bits in self.maximal],
         }
         snap.update(self._snapshot_extra())
         return snap
@@ -239,8 +261,8 @@ class CrossEntropySampler(Sampler):
 
     name = "cross-entropy"
 
-    def __init__(self, seed: int, alpha: float = DEFAULT_ALPHA):
-        super().__init__(seed)
+    def __init__(self, seed: int, alpha: float = DEFAULT_ALPHA, rulebook=None):
+        super().__init__(seed, rulebook)
         if not 0.0 < alpha < 1.0:
             raise ConfigError(f"alpha must be in (0, 1), got {alpha}")
         self.alpha = float(alpha)
@@ -279,20 +301,14 @@ class MultiArmedBanditSampler(Sampler):
     """Per-dimension UCB over buckets with maximal-counterexample counts.
 
     Visits count completed samples only.  Counterexample counts are kept
-    per maximal falsification vector: a new vector is admitted only if no
-    stored vector strictly dominates it under the rulebook, and admitting
-    it evicts every stored vector it strictly dominates (their counts are
-    discarded).  The per-bucket reward estimate is the proportion of
-    completed visits that produced any currently-maximal counterexample.
+    per member of the maximal set that ``Sampler.update`` maintains: a
+    counterexample is counted only if its vector is a member, and a member
+    evicted by a dominating newcomer loses its counts.  The per-bucket
+    reward estimate is the proportion of completed visits that produced
+    any currently-maximal counterexample.
     """
 
     name = "mab"
-
-    def __init__(self, seed: int, rulebook: Rulebook):
-        super().__init__(seed)
-        if not isinstance(rulebook, Rulebook):
-            raise ConfigError(f"expected a Rulebook, got {type(rulebook)}")
-        self.rulebook = rulebook
 
     def _init_state(self, space):
         shape = (space.d, space.bucket_count)
@@ -356,17 +372,11 @@ class MultiArmedBanditSampler(Sampler):
         if not feedback.is_counterexample:
             return
         key = tuple(bool(x) for x in feedback.b)
-        if len(key) != self.rulebook.metric_count:
-            raise DomainError(
-                f"falsification vector has {len(key)} bits, "
-                f"rulebook tracks {self.rulebook.metric_count} metrics"
-            )
+        if key not in self.maximal:
+            return  # strictly dominated by a member: not counted
         if key not in self.counts:
-            kept, accepted = self.rulebook.insert_maximal(self.counts.keys(), key)
-            if not accepted:
-                return  # strictly dominated by a stored vector: not counted
-            keep = set(kept)
-            for old in [k for k in self.counts if k not in keep]:
+            # Just admitted: drop the counts of the members it evicted.
+            for old in [k for k in self.counts if k not in self.maximal]:
                 del self.counts[old]
             self.counts[key] = np.zeros(
                 (space.d, space.bucket_count), dtype=np.int64
@@ -390,16 +400,15 @@ class MultiArmedBanditSampler(Sampler):
             "visits": self.visits.tolist(),
             "mu_hat": self.mu_hat().tolist(),
             "ucb": ucb,
-            "maximal": [list(k) for k in self.counts],
-            "maximal_counts": [m.tolist() for m in self.counts.values()],
+            "maximal_counts": [self.counts[k].tolist() for k in self.maximal],
         }
 
     def _restore_extra(self, snap):
         self.init_cursor = int(snap["init_cursor"])
         self.visits = np.array(snap["visits"], dtype=np.int64)
         self.counts = {
-            tuple(bool(b) for b in key): np.array(matrix, dtype=np.int64)
-            for key, matrix in zip(snap["maximal"], snap["maximal_counts"])
+            key: np.array(matrix, dtype=np.int64)
+            for key, matrix in zip(self.maximal, snap["maximal_counts"])
         }
 
 
@@ -412,11 +421,11 @@ def make_sampler(
 ) -> Sampler:
     """Construct and initialize a sampler by strategy name."""
     if name == "uniform":
-        sampler: Sampler = UniformSampler(seed)
+        sampler: Sampler = UniformSampler(seed, rulebook)
     elif name == "halton":
-        sampler = HaltonSampler(seed)
+        sampler = HaltonSampler(seed, rulebook)
     elif name == "cross-entropy":
-        sampler = CrossEntropySampler(seed, alpha=alpha)
+        sampler = CrossEntropySampler(seed, alpha=alpha, rulebook=rulebook)
     elif name == "mab":
         if rulebook is None:
             raise ConfigError("the 'mab' sampler needs a rulebook")
@@ -437,6 +446,7 @@ def restore(
     try:
         name = snap["sampler"]
         seed = int(snap["seed"])
+        maximal = [tuple(bool(b) for b in bits) for bits in snap["maximal"]]
     except (KeyError, TypeError) as exc:
         raise StateError(f"malformed sampler snapshot: {exc}") from exc
     if snap.get("dimensions") != list(space.names):
@@ -453,5 +463,6 @@ def restore(
     sampler = make_sampler(name, space, seed, rulebook=rulebook, alpha=alpha)
     sampler.issued = int(snap["issued"])
     sampler.completed = int(snap["completed"])
+    sampler.maximal = maximal  # read back as written, not offered again
     sampler._restore_extra(snap)
     return sampler

@@ -131,8 +131,8 @@ class FeatureSpace:
         for dim, (bucket, u) in enumerate(zip(buckets, rng.random(self.d).tolist())):
             lo, hi = self.bucket_bounds(dim, bucket)
             v = lo + u * (hi - lo)
-            # Guard against float round-up at the shared bucket edge.
-            while self.bucket_index(dim, v) != bucket:
+            # Undo float round-up onto the upper edge; only the last bucket is closed.
+            while v > hi or (v == hi and bucket < self.bucket_count - 1):
                 v = math.nextafter(v, lo)
             out.append(v)
         return out
@@ -165,7 +165,8 @@ class FeatureSpace:
             if not 0.0 <= u <= 1.0:
                 raise DomainError(f"unit coordinate {u} outside [0, 1] (dim {i})")
             d = self.dims[i]
-            out[i] = d.lo + u * d.width
+            # lo + width can round past hi when lo dwarfs hi in magnitude.
+            out[i] = min(d.lo + u * d.width, d.hi)
         return out
 
     def _check_length(self, values: Sequence[float]) -> None:

@@ -11,6 +11,7 @@ import pytest
 from falsify import analysis as an
 from falsify import campaign as ca
 from falsify import rulebook as rb
+from falsify import samplers as sa
 from falsify import scenarios as sc
 from falsify.errors import ConfigError, DomainError
 from falsify.monitor import TERM_TIME_LIMIT
@@ -138,15 +139,23 @@ def test_wall_clock_budget_stops_dispatch():
     assert 1 <= len(result.records) <= 30
 
 
-def test_mab_campaign_maximal_matches_sampler_keys():
+@pytest.mark.parametrize("workers", [1, 4])
+@pytest.mark.parametrize("sampler", sa.SAMPLER_NAMES)
+def test_campaign_maximal_is_the_sampler_set(sampler, workers):
     config = make_config(
-        "two_region", sampler_name="mab", max_samples=60, seed=2
+        "intersection", adversaries=3, sampler_name=sampler,
+        max_samples=100, workers=workers, seed=3,
     )
     result = ca.run_campaign(config)
-    assert len(result.error_table) > 0
-    # Campaign-level maximal fold and the bandit's key set are the same
-    # computation applied in the same order; they must agree exactly.
     assert [list(m) for m in result.maximal] == result.snapshot["maximal"]
+    # Brute force: the error table's vectors that nothing strictly dominates.
+    book = config.rulebook
+    vectors = {r.b for r in result.error_table}
+    assert len(vectors) > 1
+    assert set(result.maximal) == {
+        b for b in vectors
+        if not any(book.bits_strictly_dominates(a, b) for a in vectors)
+    }
 
 
 # ---------------------------------------------------------------------------

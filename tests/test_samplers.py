@@ -121,6 +121,37 @@ def test_uninitialized_sampler_is_a_state_error():
         )
 
 
+@pytest.mark.parametrize("name", sa.SAMPLER_NAMES)
+def test_member_reoffer_skips_insert_maximal(name, monkeypatch):
+    calls = []
+    insert = rb.Rulebook.insert_maximal
+
+    def counted(self, maximal, bits):
+        calls.append(bits)
+        return insert(self, maximal, bits)
+
+    monkeypatch.setattr(rb.Rulebook, "insert_maximal", counted)
+    space = unit_space(1)
+    sampler = sa.make_sampler(name, space, seed=0, rulebook=rb.disconnected(1))
+    for _ in range(3):
+        sampler.update(feedback_for(sampler, space.make_sample([0.1]), True))
+    assert calls == [(True,)]
+    assert sampler.maximal == [(True,)]
+    assert sampler.snapshot()["maximal"] == [[True]]
+
+
+@pytest.mark.parametrize("name", ["uniform", "halton", "cross-entropy"])
+def test_sampler_without_rulebook_draws_until_a_counterexample(name):
+    space = unit_space(2)
+    sampler = sa.make_sampler(name, space, seed=0)
+    s = sampler.next_sample()
+    sampler.update(feedback_for(sampler, s, violated=False))
+    with pytest.raises(StateError, match="no rulebook"):
+        sampler.update(feedback_for(sampler, s, violated=True))
+    sampler.next_sample()
+    assert sampler.maximal == []
+
+
 def test_alpha_validated():
     with pytest.raises(ConfigError, match="alpha"):
         sa.CrossEntropySampler(seed=0, alpha=0.0)
@@ -244,7 +275,9 @@ def test_halton_lower_discrepancy_than_uniform():
 
 def test_ce_smoothing_worked_example():
     space = unit_space(d=1, buckets=4)
-    sampler = sa.make_sampler("cross-entropy", space, seed=0, alpha=0.1)
+    sampler = sa.make_sampler(
+        "cross-entropy", space, seed=0, alpha=0.1, rulebook=rb.disconnected(1)
+    )
     sample = space.make_sample([0.6])  # bucket 2 of 4
     assert sample.buckets == (2,)
     sampler.update(feedback_for(sampler, sample, violated=True))
@@ -261,7 +294,9 @@ def test_ce_safe_sample_leaves_weights_unchanged():
 
 def test_ce_rows_stay_normalized():
     space = unit_space(d=3, buckets=6)
-    sampler = sa.make_sampler("cross-entropy", space, seed=5)
+    sampler = sa.make_sampler(
+        "cross-entropy", space, seed=5, rulebook=rb.disconnected(1)
+    )
     rng = np.random.default_rng(0)
     for _ in range(200):
         s = sampler.next_sample()
@@ -272,7 +307,9 @@ def test_ce_rows_stay_normalized():
 
 def test_ce_concentrates_on_rewarded_bucket():
     space = unit_space(d=1, buckets=5)
-    sampler = sa.make_sampler("cross-entropy", space, seed=3)
+    sampler = sa.make_sampler(
+        "cross-entropy", space, seed=3, rulebook=rb.disconnected(1)
+    )
     for _ in range(300):
         s = sampler.next_sample()
         sampler.update(feedback_for(sampler, s, s.buckets[0] == 4))
@@ -535,6 +572,7 @@ def test_snapshot_serialize_restore_roundtrip(name):
         assert s1 == s2
         original.update(fb(original, s1))
         restored.update(fb(restored, s2))
+    assert restored.maximal == original.maximal
     if name == "mab":
         assert np.array_equal(original.visits, restored.visits)
         assert list(original.counts) == list(restored.counts)
@@ -547,3 +585,6 @@ def test_restore_validates_space():
         sa.restore(snap, unit_space(d=3), rulebook=None)
     with pytest.raises(StateError, match="bucket count"):
         sa.restore(snap, unit_space(d=2, buckets=9))
+    without_maximal = {k: v for k, v in snap.items() if k != "maximal"}
+    with pytest.raises(StateError, match="malformed"):
+        sa.restore(without_maximal, unit_space(d=2))

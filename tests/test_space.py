@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from falsify.errors import DomainError
@@ -136,6 +136,21 @@ class TestSampleInBucket:
         v, = space.sample_in_buckets([bucket], rng)
         assert space.bucket_index(0, v) == bucket
 
+    @given(bounds=finite_bounds, n=st.integers(1, 30))
+    @settings(max_examples=200)
+    def test_top_of_bucket_draw_maps_back(self, bounds, n):
+        # The largest offset below 1 can round a draw onto the bucket's
+        # upper edge, which only the last bucket includes.
+        class TopRng:
+            def random(self, d):
+                return np.full(d, math.nextafter(1.0, 0.0))
+
+        lo, hi = bounds
+        space = FeatureSpace([Dimension("x", lo, hi)], bucket_count=n)
+        for bucket in range(n):
+            v, = space.sample_in_buckets([bucket], TopRng())
+            assert space.bucket_index(0, v) == bucket
+
     def test_draws_are_uniform_within_bucket(self):
         # Bucket 3 of 5 over [0, 10] covers [6, 8): mean should sit near 7.
         space = FeatureSpace([make_dim(lo=0, hi=10)], bucket_count=5)
@@ -155,6 +170,7 @@ class TestUnitCube:
         bounds=finite_bounds,
         u=st.floats(0, 1),
     )
+    @example(bounds=(-1.0, -3.885882630646316e-260), u=1.0)
     def test_round_trip(self, bounds, u):
         lo, hi = bounds
         space = FeatureSpace([Dimension("x", lo, hi)])
