@@ -125,8 +125,8 @@ def _run_speedup(configs: dict[str, CampaignConfig]) -> list[Check]:
 def _run_balance(configs: dict[str, CampaignConfig]) -> list[Check]:
     med = {}
     for key, config in configs.items():
-        counts = _seeded_runs(config, _counterexamples)
-        divs = _seeded_runs(config, _diversity)
+        runs = _seeded_runs(config, lambda r: (_counterexamples(r), _diversity(r)))
+        counts, divs = [c for c, _ in runs], [d for _, d in runs]
         med[key] = {
             "count": statistics.median(counts),
             "diversity": statistics.median(divs),

@@ -5,14 +5,17 @@ updates plus a small set of reactive rules (brake when near a target,
 wait until a target approaches, speed up when a target drifts laterally,
 change lanes around a target).
 
-The loop has two sources.  ``_integrate_impl`` works on numpy arrays: it
-is what numba compiles when it imports (FALSIFY_NUMBA=0 skips it) and,
-run uncompiled, the oracle.  ``_kernel_source`` is the generator behind
-the interpreted backend, ``integrate_python``: for each scene structure
-(agent count, modes, and each rule's type and target) it writes one
-straight-line Python function with the agent state in locals and the
-same arithmetic in the same order.  A change to one source must be made
-to the other.  In tests/test_kinematics.py the
+A Scene is the builder's Python lists: one entry per agent, and each
+agent's rules as ``(type, target, f0, f1, f2)`` tuples.  The loop has two
+sources.  ``_kernel_source`` is the generator behind the interpreted
+backend, ``integrate_python``: for each scene structure (agent count,
+modes, and each rule's type and target) it writes one straight-line
+Python function that reads the Scene's lists directly, with the agent
+state in locals.  ``_integrate_impl`` works on padded numpy arrays that
+``_run_arrays`` packs from the Scene: it is what numba compiles when it
+imports (FALSIFY_NUMBA=0 skips it) and, run uncompiled, the oracle.
+Both do the same arithmetic in the same order, and a change to one
+source must be made to the other.  In tests/test_kinematics.py the
 ``test_python_kernel_matches_oracle_*`` and
 ``test_generated_kernel_matches_oracle`` tests require bit-identical
 trajectories from the generated kernels (and the numba tests from the
@@ -31,7 +34,7 @@ import logging
 import math
 import os
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -234,30 +237,25 @@ _kernels: dict = {}
 _kernels_lock = threading.Lock()
 
 
-def _structure(mode, rule_type, rule_target):
+def _structure(scene):
     """The ints a generated kernel depends on: ``(modes, rules)``.
 
-    Takes the Scene's int arrays as lists.  ``rules[a]`` holds
-    ``(slot, type, target)`` for each of agent a's rules but RULE_NONE.
+    ``rules[a]`` holds ``(type, target)`` for each of agent a's rules.
     Every value is checked, because the kernel source is built from these
     ints and nothing else.
     """
-    n = len(mode)
-    if n < 1 or len(rule_type) != n or len(rule_target) != n:
-        raise DomainError("scene arrays need one row per agent and >= 1 agent")
-    if any(m not in (MODE_WAYPOINT, MODE_LANE) for m in mode):
-        raise DomainError(f"unknown agent mode in {mode!r}")
+    n = len(scene.mode)
+    if n < 1 or len(scene.rules) != n:
+        raise DomainError("scene lists need one entry per agent and >= 1 agent")
+    if any(m not in (MODE_WAYPOINT, MODE_LANE) for m in scene.mode):
+        raise DomainError(f"unknown agent mode in {scene.mode!r}")
     rules = []
-    for a, (types, targets) in enumerate(zip(rule_type, rule_target)):
-        active = []
-        for slot, (rt, tgt) in enumerate(zip(types, targets)):
-            if rt == RULE_NONE:
-                continue
+    for a, agent_rules in enumerate(scene.rules):
+        for rt, tgt, *_ in agent_rules:
             if rt not in range(1, len(_RULE_NAMES)) or tgt not in range(n):
                 raise DomainError(f"agent {a}: bad rule type {rt!r} or target {tgt!r}")
-            active.append((slot, int(rt), int(tgt)))
-        rules.append(tuple(active))
-    return tuple(int(m) for m in mode), tuple(rules)
+        rules.append(tuple((int(rt), int(tgt)) for rt, tgt, *_ in agent_rules))
+    return tuple(int(m) for m in scene.mode), tuple(rules)
 
 
 def _kernel_source(modes, rules) -> str:
@@ -281,22 +279,21 @@ def _kernel_source(modes, rules) -> str:
     # Controls read the frame-k values.  A later agent's rule may read an
     # earlier agent's position, so that agent's new position is assigned
     # only after every agent has updated.
-    deferred = sorted({b for a in agents for _, _, b in rules[a] if b < a})
-    emit(0, "def kernel(pos, heading, speed, cruise, accel, waypoints, wp_count,"
-            " goal_x, lane_y, rule_f, dt, max_frames, crash_dist, capture_radius,"
-            " lat_gain):")
+    deferred = sorted({b for a in agents for _, b in rules[a] if b < a})
+    emit(0, "def kernel(pos, heading, speed, cruise, accel, waypoints, goal_x,"
+            " lane_y, rules, dt, max_frames, crash_dist, capture_radius, lat_gain):")
     emit(1, "hypot, atan2, cos, sin = math.hypot, math.atan2, math.cos, math.sin",
          f"{row('(x{a}, y{a})')} = pos", f"{row('h{a}')} = heading",
          f"{row('v{a}')} = speed", f"{row('c{a}')} = cruise",
          f"{row('acc{a}')} = accel")
     for a in agents:
         if modes[a] == MODE_WAYPOINT:
-            emit(1, f"wps{a} = waypoints[{a}]", f"n{a} = wp_count[{a}]", f"i{a} = 0",
+            emit(1, f"wps{a} = waypoints[{a}]", f"n{a} = len(wps{a})", f"i{a} = 0",
                  f"wx{a}, wy{a} = wps{a}[0]")
         else:
             emit(1, f"gx{a} = goal_x[{a}]", f"ly{a} = lane_y[{a}]", f"done{a} = False")
-        for j, (slot, rt, _) in enumerate(rules[a]):
-            emit(1, f"f{a}_{j}_0, f{a}_{j}_1, f{a}_{j}_2 = rule_f[{a}][{slot}]")
+        for j, (rt, _) in enumerate(rules[a]):
+            emit(1, f"_, _, f{a}_{j}_0, f{a}_{j}_1, f{a}_{j}_2 = rules[{a}][{j}]")
             if rt not in _BRAKES:
                 emit(1, f"s{a}_{j} = 0.0")
     emit(1, "rec_pos, rec_heading, rec_speed = [], [], []", f"term = {CODE_TIME_LIMIT}",
@@ -323,7 +320,7 @@ def _kernel_source(modes, rules) -> str:
     emit(2, "if k == last:")
     emit(3, "break")
     for a in agents:
-        kinds = {rt for _, rt, _ in rules[a]}
+        kinds = {rt for rt, _ in rules[a]}
         brakes = bool(kinds & _BRAKES)
         emit(2, f"# Agent {a}.", f"ts = c{a}")
         if brakes:
@@ -334,7 +331,7 @@ def _kernel_source(modes, rules) -> str:
             emit(2, f"y_des = ly{a}")
         if RULE_BRAKE_AHEAD in kinds:
             emit(2, f"ch = cos(h{a})", f"sh = sin(h{a})")
-        for j, (_, rt, b) in enumerate(rules[a]):
+        for j, (rt, b) in enumerate(rules[a]):
             f0, f1, f2, s = f"f{a}_{j}_0", f"f{a}_{j}_1", f"f{a}_{j}_2", f"s{a}_{j}"
             gap = f"hypot(x{b} - x{a}, y{b} - y{a})"
             if rt == RULE_BRAKE_AHEAD:
@@ -398,7 +395,7 @@ def _compiled(structure):
             source = _kernel_source(modes, rules)
             filename = "<falsify.kinematics kernel: %s>" % "; ".join(
                 " ".join(["waypoint" if m == MODE_WAYPOINT else "lane"]
-                         + [f"{_RULE_NAMES[rt]}->{b}" for _, rt, b in rules[a]])
+                         + [f"{_RULE_NAMES[rt]}->{b}" for rt, b in rules[a]])
                 for a, m in enumerate(modes)
             )
             namespace = {"math": math}
@@ -446,24 +443,24 @@ def kernel_functions() -> dict:
 class Scene:
     """Initial conditions plus behavior wiring for one simulation.
 
-    Agent 0 is always the ego vehicle.  Built via SceneBuilder; arrays
-    are laid out for direct handoff to the integrator.
+    Agent 0 is always the ego vehicle.  Built via SceneBuilder from the
+    lists it keeps: one entry per agent, positions and waypoints as
+    ``(x, y)`` tuples, and ``rules[a]`` as agent a's
+    ``(type, target, f0, f1, f2)`` tuples in the order they were added.
+    The integrators read a Scene and never write to it.
     """
 
     agents: tuple[str, ...]
-    mode: np.ndarray
-    pos: np.ndarray
-    heading: np.ndarray
-    speed: np.ndarray
-    cruise: np.ndarray
-    accel: np.ndarray
-    waypoints: np.ndarray
-    wp_count: np.ndarray
-    goal_x: np.ndarray
-    lane_y: np.ndarray
-    rule_type: np.ndarray
-    rule_target: np.ndarray
-    rule_f: np.ndarray
+    mode: list[int]
+    pos: list[tuple[float, float]]
+    heading: list[float]
+    speed: list[float]
+    cruise: list[float]
+    accel: list[float]
+    waypoints: list[list[tuple[float, float]]]
+    goal_x: list[float]
+    lane_y: list[float]
+    rules: list[list[tuple[int, int, float, float, float]]]
 
 
 class SceneBuilder:
@@ -565,44 +562,24 @@ class SceneBuilder:
         self._add_rule(agent, RULE_LANE_CHANGE, target, trigger, to_y, clear_margin)
 
     def build(self) -> Scene:
-        n = len(self._names)
-        if n < 1:
+        if not self._names:
             raise DomainError("scene needs at least one agent")
-        n_rules = max(1, max(len(r) for r in self._rules))
-        waypoints = np.zeros((n, MAX_WAYPOINTS, 2))
-        wp_count = np.zeros(n, dtype=np.int64)
-        for a, wps in enumerate(self._waypoints):
-            wp_count[a] = len(wps)
-            for w, (x, y) in enumerate(wps):
-                waypoints[a, w] = (x, y)
-        rule_type = np.zeros((n, n_rules), dtype=np.int64)
-        rule_target = np.zeros((n, n_rules), dtype=np.int64)
-        rule_f = np.zeros((n, n_rules, 3))
-        for a, rules in enumerate(self._rules):
-            for r, (rt, tgt, f0, f1, f2) in enumerate(rules):
-                rule_type[a, r] = rt
-                rule_target[a, r] = tgt
-                rule_f[a, r] = (f0, f1, f2)
-        heading = np.zeros(n)
-        for a in range(n):
-            if self._mode[a] == MODE_WAYPOINT:
-                wx, wy = self._waypoints[a][0]
-                heading[a] = math.atan2(wy - self._pos[a][1], wx - self._pos[a][0])
+        heading = [
+            math.atan2(wps[0][1] - y, wps[0][0] - x) if m == MODE_WAYPOINT else 0.0
+            for m, (x, y), wps in zip(self._mode, self._pos, self._waypoints)
+        ]
         return Scene(
             agents=tuple(self._names),
-            mode=np.array(self._mode, dtype=np.int64),
-            pos=np.array(self._pos, dtype=float).reshape(n, 2),
+            mode=list(self._mode),
+            pos=list(self._pos),
             heading=heading,
-            speed=np.array(self._speed, dtype=float),
-            cruise=np.array(self._cruise, dtype=float),
-            accel=np.array(self._accel, dtype=float),
-            waypoints=waypoints,
-            wp_count=wp_count,
-            goal_x=np.array(self._goal_x, dtype=float),
-            lane_y=np.array(self._lane_y, dtype=float),
-            rule_type=rule_type,
-            rule_target=rule_target,
-            rule_f=rule_f,
+            speed=list(self._speed),
+            cruise=list(self._cruise),
+            accel=list(self._accel),
+            waypoints=list(self._waypoints),
+            goal_x=list(self._goal_x),
+            lane_y=list(self._lane_y),
+            rules=[list(r) for r in self._rules],
         )
 
 
@@ -635,19 +612,14 @@ def integrate_python(scene: Scene, dt: float, max_frames: int):
     """The interpreted backend: run the scene's generated kernel.
 
     The kernel for the scene's structure (``_structure``) is straight-line
-    Python from ``_kernel_source``.  It takes the Scene arrays as lists
-    and records each trajectory flat, frame after frame; here they are
+    Python from ``_kernel_source``.  It reads the Scene's lists as they
+    are and records each trajectory flat, frame after frame; here they are
     shaped into the same arrays ``_run_arrays`` returns, bit for bit.
     """
-    kernel = _compiled(_structure(
-        scene.mode.tolist(), scene.rule_type.tolist(), scene.rule_target.tolist()
-    ))
-    pos, heading, speed, code = kernel(
-        scene.pos.tolist(), scene.heading.tolist(), scene.speed.tolist(),
-        scene.cruise.tolist(), scene.accel.tolist(), scene.waypoints.tolist(),
-        scene.wp_count.tolist(), scene.goal_x.tolist(), scene.lane_y.tolist(),
-        scene.rule_f.tolist(), dt, max_frames, CRASH_DISTANCE, CAPTURE_RADIUS,
-        LATERAL_GAIN,
+    pos, heading, speed, code = _compiled(_structure(scene))(
+        scene.pos, scene.heading, scene.speed, scene.cruise, scene.accel,
+        scene.waypoints, scene.goal_x, scene.lane_y, scene.rules, dt, max_frames,
+        CRASH_DISTANCE, CAPTURE_RADIUS, LATERAL_GAIN,
     )
     frames = len(speed) // len(scene.agents)
     return (
@@ -659,32 +631,40 @@ def integrate_python(scene: Scene, dt: float, max_frames: int):
 
 
 def _run_arrays(fn, scene: Scene, dt: float, max_frames: int):
-    """Run an array kernel (``_integrate_impl``, compiled or not) on a scene."""
+    """Run an array kernel (``_integrate_impl``, compiled or not) on a scene.
+
+    Packs the Scene's lists into fresh arrays: waypoints padded to
+    MAX_WAYPOINTS, and each agent's rules padded with RULE_NONE slots to
+    the longest rule list.
+    """
     n = len(scene.agents)
+    n_rules = max(1, max(map(len, scene.rules)))
+    waypoints = np.zeros((n, MAX_WAYPOINTS, 2))
+    wp_count = np.zeros(n, dtype=np.int64)
+    rule_type = np.zeros((n, n_rules), dtype=np.int64)
+    rule_target = np.zeros((n, n_rules), dtype=np.int64)
+    rule_f = np.zeros((n, n_rules, 3))
+    for a in range(n):
+        wp_count[a] = len(scene.waypoints[a])
+        for w, xy in enumerate(scene.waypoints[a]):
+            waypoints[a, w] = xy
+        for r, (rt, tgt, *floats) in enumerate(scene.rules[a]):
+            rule_type[a, r] = rt
+            rule_target[a, r] = tgt
+            rule_f[a, r] = floats
     out_pos = np.empty((max_frames, n, 2))
     out_heading = np.empty((max_frames, n))
     out_speed = np.empty((max_frames, n))
+    f64 = np.float64
     frames, code = fn(
-        scene.mode,
-        scene.pos.copy(),
-        scene.heading.copy(),
-        scene.speed.copy(),
-        scene.cruise,
-        scene.accel,
-        scene.waypoints,
-        scene.wp_count,
-        scene.goal_x,
-        scene.lane_y,
-        scene.rule_type,
-        scene.rule_target,
-        scene.rule_f,
-        dt,
-        max_frames,
-        CRASH_DISTANCE,
-        CAPTURE_RADIUS,
-        LATERAL_GAIN,
-        out_pos,
-        out_heading,
-        out_speed,
+        np.array(scene.mode, dtype=np.int64),
+        np.array(scene.pos, dtype=f64).reshape(n, 2),
+        np.array(scene.heading, dtype=f64), np.array(scene.speed, dtype=f64),
+        np.array(scene.cruise, dtype=f64), np.array(scene.accel, dtype=f64),
+        waypoints, wp_count,
+        np.array(scene.goal_x, dtype=f64), np.array(scene.lane_y, dtype=f64),
+        rule_type, rule_target, rule_f,
+        dt, max_frames, CRASH_DISTANCE, CAPTURE_RADIUS, LATERAL_GAIN,
+        out_pos, out_heading, out_speed,
     )
     return out_pos[:frames], out_heading[:frames], out_speed[:frames], int(code)

@@ -98,6 +98,11 @@ class Trajectory:
         return np.hypot(delta[:, 0], delta[:, 1])
 
 
+def _clearance(traj: Trajectory, agent: str, threshold: float) -> float:
+    """The ego's worst margin over the threshold from one agent in the run."""
+    return float((traj.separations(EGO, agent) - threshold).min())
+
+
 @dataclass(frozen=True)
 class MinSeparation:
     """Requires the ego center to stay >= threshold meters from one agent.
@@ -117,10 +122,7 @@ class MinSeparation:
         return f"min_separation[{self.agent}]"
 
     def robustness(self, traj: Trajectory) -> float:
-        return float(self.separations_margin(traj).min())
-
-    def separations_margin(self, traj: Trajectory) -> np.ndarray:
-        return traj.separations(EGO, self.agent) - self.threshold
+        return _clearance(traj, self.agent, self.threshold)
 
     def to_config(self) -> dict:
         """This metric as a spec entry that spec_from_config reads back."""
@@ -152,11 +154,7 @@ class JointSeparation:
         return f"joint_separation[{','.join(self.agents)}]"
 
     def robustness(self, traj: Trajectory) -> float:
-        parts = [
-            MinSeparation(agent, self.threshold).robustness(traj)
-            for agent in self.agents
-        ]
-        return float(max(parts))
+        return max(_clearance(traj, agent, self.threshold) for agent in self.agents)
 
     def to_config(self) -> dict:
         """This metric as a spec entry that spec_from_config reads back."""

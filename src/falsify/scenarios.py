@@ -19,10 +19,8 @@ import json
 import math
 import time
 from importlib import resources
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
-
-import numpy as np
 
 from .errors import ConfigError
 from .kinematics import Scene, SceneBuilder, run_scene
@@ -631,7 +629,6 @@ def simulate_with_delay(
     cfg: ScenarioConfig,
     sample: SampleVector | Sequence[float],
     artificial_delay: float,
-    backend: str | None = None,
 ) -> Trajectory:
     """simulate(), padded so the call takes at least ``artificial_delay`` s.
 
@@ -641,7 +638,7 @@ def simulate_with_delay(
     if artificial_delay < 0:
         raise ConfigError(f"artificial delay must be >= 0, got {artificial_delay}")
     t0 = time.perf_counter()
-    traj = simulate(cfg, sample, backend=backend)
+    traj = simulate(cfg, sample)
     remaining = artificial_delay - (time.perf_counter() - t0)
     if remaining > 0:
         time.sleep(remaining)

@@ -1,6 +1,8 @@
 """Integrator unit tests: builder validation, rule behaviors, terminations,
 backend equivalence, and motion invariants."""
 
+import dataclasses
+import functools
 import inspect
 import itertools
 import linecache
@@ -331,9 +333,7 @@ def test_python_kernel_matches_oracle_on_intersection_draws():
 
 
 def structure(scene):
-    return kin._structure(
-        scene.mode.tolist(), scene.rule_type.tolist(), scene.rule_target.tolist()
-    )
+    return kin._structure(scene)
 
 
 def one_agent_scene():
@@ -364,7 +364,7 @@ def max_rules_scene():
     b.boost_on_lateral(ego, lead, offset_threshold=1.0, boost_speed=12.0,
                        ref_y=-3.0)
     scene = b.build()
-    assert scene.rule_type.shape == (3, kin.MAX_RULES)
+    assert [len(rules) for rules in scene.rules] == [kin.MAX_RULES, 0, 0]
     return scene
 
 
@@ -416,16 +416,19 @@ def test_generated_kernel_depends_on_structure_only():
     assert structure(renamed) == structure(one)
     source = kin._kernel_source(*structure(one))
     assert source == kin._kernel_source(*structure(two))
-    for value in np.concatenate([one.pos.ravel(), one.rule_f.ravel()]):
+    floats = [v for p in one.pos for v in p] + [
+        f for rules in one.rules for rule in rules for f in rule[2:]
+    ]
+    for value in floats:
         if value not in (0.0, 1.0, 2.0):
             assert repr(float(value)) not in source
 
 
 @pytest.mark.parametrize("field, value", [
     ("mode", [2, 0]),
-    ("rule_type", [[6], [0]]),
-    ("rule_target", [[2], [0]]),
-    ("rule_target", [[0.5], [0]]),
+    ("rule_type", (6, 1)),
+    ("rule_target", (1, 2)),
+    ("rule_target", (1, 0.5)),
 ])
 def test_generated_kernel_rejects_bad_structure(field, value):
     b = kin.SceneBuilder()
@@ -433,7 +436,10 @@ def test_generated_kernel_rejects_bad_structure(field, value):
     b.brake_near(0, b.add_lane_agent("lead", (9.0, 0.0), speed=2.0, goal_x=100.0),
                  trigger=5.0, decel=4.0)
     scene = b.build()
-    setattr(scene, field, np.array(value))
+    if field == "mode":
+        scene.mode = value
+    else:  # value is the (type, target) of the ego's one rules entry
+        scene.rules[0] = [(*value, 5.0, 4.0, 0.0)]
     with pytest.raises(DomainError):
         kin.run_scene(scene, backend="python")
 
@@ -442,7 +448,7 @@ def test_generated_kernel_cache_is_bounded():
     kinds = range(kin.RULE_BRAKE_NEAR, kin.RULE_BRAKE_AHEAD + 1)
     structures = [
         ((kin.MODE_LANE, kin.MODE_LANE),
-         (tuple((slot, rt, 1) for slot, rt in enumerate(seq)), ()))
+         (tuple((rt, 1) for rt in seq), ()))
         for seq in itertools.product(kinds, repeat=3)
     ]
     assert len(structures) > kin.KERNEL_CACHE_SIZE
@@ -466,7 +472,7 @@ def test_generated_kernel_source_is_in_linecache():
     assert inspect.getsource(fn) == source
     # A fault inside the kernel names the generated line it happened on.
     with pytest.raises(TypeError) as info:
-        fn(*[None] * 15)
+        fn(*[None] * 14)
     frame = traceback.extract_tb(info.value.__traceback__)[-1]
     assert frame.filename == filename
     assert frame.line == linecache.getline(filename, frame.lineno).strip()
@@ -479,6 +485,18 @@ def test_same_backend_is_deterministic():
     assert a[3] == b[3]
     for x, y in zip(a[:3], b[:3]):
         assert np.array_equal(x, y)
+
+
+@pytest.mark.parametrize("make", [rich_scene, max_rules_scene, mutual_scene])
+def test_scene_is_input_only(make):
+    scene = make()
+    runners = [functools.partial(kin.run_scene, backend=name)
+               for name in kin.kernel_functions()] + [oracle]
+    for run in runners:
+        assert_bit_identical(run(scene), run(scene))
+    fresh = make()
+    for f in dataclasses.fields(kin.Scene):
+        assert getattr(scene, f.name) == getattr(fresh, f.name), f.name
 
 
 @pytest.mark.skipif(not HAS_NUMBA, reason="compiled backend not installed")

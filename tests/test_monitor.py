@@ -174,6 +174,43 @@ class TestMinSeparation:
         assert full <= short + 1e-12
 
 
+class TestJointSeparation:
+    @staticmethod
+    def passer(offset, frames=21):
+        """Drives past a parked ego, closest (exactly ``offset`` m) mid-run."""
+        return straight_line([30.0, offset], [-30.0, offset], frames)
+
+    @pytest.mark.parametrize("offset0, offset1, violated", [
+        (4.0, 3.0, True),
+        (4.0, 9.0, False),
+        (9.0, 3.0, False),
+        (9.0, 8.0, False),
+        (5.0, 3.0, False),
+    ])
+    def test_violated_only_when_every_agent_comes_close(self, offset0, offset1,
+                                                        violated):
+        traj = make_traj(np.zeros((21, 2)),
+                         [self.passer(offset0), self.passer(offset1)])
+        spec = Specification([JointSeparation(("adv0", "adv1"), 5.0)])
+        rho = evaluate(spec, traj)
+        assert rho.tolist() == [max(offset0, offset1) - 5.0]
+        assert is_counterexample(rho) == violated
+
+    @given(st.integers(1, 40), st.integers(1, 4), st.floats(0.5, 20),
+           st.integers(0, 2**31))
+    @settings(max_examples=100)
+    def test_is_max_of_min_separations(self, frames, m, threshold, seed):
+        rng = np.random.default_rng(seed)
+        ego = rng.uniform(-30, 30, size=(frames, 2))
+        traj = make_traj(ego, [rng.uniform(-30, 30, size=(frames, 2))
+                               for _ in range(m)])
+        agents = tuple(f"adv{i}" for i in range(m))
+        joint = JointSeparation(agents, threshold).robustness(traj)
+        parts = [MinSeparation(a, threshold).robustness(traj) for a in agents]
+        assert type(joint) is float
+        assert np.float64(joint).tobytes() == np.float64(max(parts)).tobytes()
+
+
 class TestFalsificationVector:
     @pytest.mark.parametrize(
         "rho,expect",
