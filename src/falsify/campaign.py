@@ -6,28 +6,33 @@ hands them to a simulator, and folds the evaluated outcome back into the
 sampler, which also keeps the maximal set of counterexample vectors
 under the rulebook.  Each step is written once on ``_Runner``; the
 worker count only decides where the simulation runs.  At W=1 it runs
-inline on the coordinator.  At W>1 up to W samples are in flight on
-worker threads, and the coordinator, still the only thread that touches
-sampler state, applies feedback in completion order as it arrives
-(workers may finish out of dispatch order).  Workers overlap only while
-simulation releases the interpreter lock: the numba kernel runs without
-it and an artificial delay sleeps, but the interpreted kernel holds it,
-so without numba the W threads share one interpreter's worth of kernel
-compute.
+inline on the coordinator.  At W>1 each of W workers has its own pipe
+and runs one sample at a time; the coordinator, the only one that
+touches sampler state, builds each record and applies its feedback in
+completion order as it arrives (workers may finish out of dispatch
+order).  With the default simulator the workers are forked processes,
+so the interpreted kernel runs on W interpreters at once.  A
+``simulate_fn`` passed in by the caller runs on worker threads in the
+caller's process instead, where it may keep state; those threads
+overlap only while the simulation releases the interpreter lock (the
+numba kernel, a sleep).
 
 Sample ids are assigned at dispatch and are dense over dispatched
 samples.  The failure policy is the same for every W.  A simulation or
 evaluation that raises a package error (``FalsifyError``) is a package
 or config fault that would repeat on every sample, so it aborts the
-campaign, as does any package error on the coordinator: in-flight
-samples are absorbed and the partial result is attached to the raised
-CampaignError.  Any other exception marks its sample failed: the id is
-logged and counted, the sample joins neither table, and the campaign
+campaign, as does any package error on the coordinator and a worker
+process that dies: in-flight samples are absorbed and the partial
+result is attached to the raised CampaignError.  A worker sends back
+the error's type name and message, not the error itself, which may not
+survive pickling.  Any other exception marks its sample failed: the id
+is logged and counted, the sample joins neither table, and the campaign
 continues.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import logging
@@ -293,47 +298,52 @@ class _Runner:
         self.dispatched += 1
         return task
 
-    def run(self, task: tuple, worker: int) -> tuple:
-        """Simulate and evaluate one task; returns its outcome for handle().
+    def run(self, sample: SampleVector) -> tuple:
+        """Simulate and evaluate one sample; returns its outcome for handle().
 
-        Called on the coordinator at W=1 and on a worker thread at W>1,
-        so it touches no coordinator state.
+        The outcome is ("done", rho, bits, termination, sim_seconds,
+        t_complete), or ("failed", message) when the simulation or the
+        monitor raised an exception that is not a package error.  A package
+        error propagates.  Called on the coordinator at W=1 and on a worker
+        at W>1, so it touches no coordinator state.
         """
-        sid, t_dispatch, sample = task
         t0 = time.perf_counter()
         try:
             traj = self.simulate_fn(self.config, sample)
             rho = evaluate(self.config.spec, traj)
-        except FalsifyError as exc:
-            return ("abort", exc)
+        except FalsifyError:
+            raise
         except Exception as exc:  # noqa: BLE001 - sample isolation boundary
-            return ("failed", sid, worker, f"{type(exc).__name__}: {exc}")
+            return ("failed", f"{type(exc).__name__}: {exc}")
         sim_seconds = time.perf_counter() - t0
-        bits = falsification_vector(rho)
-        return ("done", SampleRecord(
-            id=sid,
-            worker=worker,
-            t_dispatch=t_dispatch,
-            t_complete=time.time(),
-            sample=sample,
-            rho=tuple(float(r) for r in rho),
-            b=bits,
-            is_counterexample=any(bits),
-            termination=traj.termination,
-            sim_seconds=sim_seconds,
-        ))
+        rho = tuple(float(r) for r in rho)
+        return ("done", rho, falsification_vector(rho), traj.termination,
+                sim_seconds, time.time())
 
-    def handle(self, outcome: tuple) -> None:
-        """Absorb a record, count a failed sample, or re-raise an abort."""
+    def handle(self, task: tuple, worker: int, outcome: tuple) -> None:
+        """Absorb a finished task, count a failed one, or raise a worker's abort."""
+        sid, t_dispatch, sample = task
         kind = outcome[0]
         if kind == "done":
-            self.absorb(outcome[1])
+            _, rho, bits, termination, sim_seconds, t_complete = outcome
+            self.absorb(SampleRecord(
+                id=sid,
+                worker=worker,
+                t_dispatch=t_dispatch,
+                t_complete=t_complete,
+                sample=sample,
+                rho=rho,
+                b=bits,
+                is_counterexample=any(bits),
+                termination=termination,
+                sim_seconds=sim_seconds,
+            ))
         elif kind == "failed":
-            _, sid, worker, message = outcome
             self.failed += 1
-            logger.warning("sample %d failed on worker %d: %s", sid, worker, message)
+            logger.warning("sample %d failed on worker %d: %s", sid, worker, outcome[1])
         else:
-            raise outcome[1]
+            _, name, message = outcome
+            raise FalsifyError(f"{name} on worker {worker}: {message}")
 
     def absorb(self, record: SampleRecord) -> None:
         """Fold one completed sample into sampler state and the tables."""
@@ -353,58 +363,116 @@ class _Runner:
 
 
 class _Pool:
-    """Worker threads that run a runner's tasks; outcomes land in completion order."""
+    """W workers that each run one task at a time and answer on their own pipe.
+
+    A worker is a forked process or a thread; only ``start`` tells them
+    apart.  A process receives its task over the pipe; a thread takes it
+    from an in-process queue, so a caller's ``simulate_fn`` sees the very
+    sample object the sampler issued.
+    """
 
     def __init__(self, runner: _Runner):
         self.runner = runner
-        self.tasks: queue.Queue = queue.Queue()
-        self.results: queue.Queue = queue.Queue()
-        self.threads: list[threading.Thread] = []
-        self.in_flight = 0
+        self.workers: list[tuple] = []  # (coordinator's pipe end, send, worker)
+        self.busy: dict = {}  # pipe end -> (worker index, task)
 
-    def _work(self, worker: int) -> None:
-        while (task := self.tasks.get()) is not None:
-            self.results.put(self.runner.run(task, worker))
+    def start(self, count: int, forked: bool) -> None:
+        # Imported here: multiprocessing.connection costs a fresh interpreter
+        # about 10 ms of imports, which a W=1 campaign never needs.
+        import multiprocessing
 
-    def _handle_next(self, block: bool) -> None:
-        outcome = self.results.get(block)  # raises queue.Empty if none waits
-        self.in_flight -= 1
-        self.runner.handle(outcome)
+        # fork, not spawn: a worker inherits the config, the simulator and
+        # any compiled kernels without pickling, and starts in milliseconds
+        # where a spawned one would import numpy and the package again.
+        if forked and "fork" in multiprocessing.get_all_start_methods():
+            ctx = multiprocessing.get_context("fork")
+        else:
+            ctx = None
+        for w in range(count):
+            conn, end = multiprocessing.Pipe()
+            if ctx is not None:
+                worker = ctx.Process(
+                    target=self._serve_forked, args=(conn, end),
+                    name=f"falsify-worker-{w}", daemon=True,
+                )
+                send = conn.send
+            else:
+                inbox: queue.SimpleQueue = queue.SimpleQueue()
+                worker = threading.Thread(
+                    target=self._serve, args=(inbox.get, end),
+                    name=f"falsify-worker-{w}", daemon=True,
+                )
+                send = inbox.put
+            worker.start()
+            if ctx is not None:
+                end.close()  # the child holds the only copy
+            self.workers.append((conn, send, worker))
 
-    def pipeline(self, workers: int) -> None:
-        """Keep up to ``workers`` samples in flight until the budget is spent.
+    def _serve_forked(self, own, end) -> None:
+        """Entry point of a forked worker."""
+        import signal  # here, not at the top: it would add to every set-up
+
+        # Ctrl-C reaches the whole process group; the coordinator handles it.
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        # Drop the inherited coordinator ends, so that the coordinator's
+        # exit reads as EOF here and this worker's exit as EOF there.
+        own.close()
+        for conn, _, _ in self.workers:
+            conn.close()
+        self._serve(end.recv, end)
+
+    def _serve(self, recv, end) -> None:
+        """Answer each task with its outcome until None or EOF."""
+        try:
+            while (task := recv()) is not None:
+                try:
+                    outcome = self.runner.run(task[2])
+                except FalsifyError as exc:
+                    outcome = ("abort", type(exc).__name__, str(exc))
+                end.send(outcome)
+        except (EOFError, OSError):
+            pass  # the coordinator is gone
+        finally:
+            end.close()
+
+    def _send(self, w: int, task: tuple) -> None:
+        conn, send, _ = self.workers[w]
+        try:
+            send(task)
+        except OSError as exc:
+            raise FalsifyError(f"worker {w} died before sample {task[0]}") from exc
+        self.busy[conn] = (w, task)
+
+    def _collect(self, conn) -> int:
+        """Receive and handle one worker's outcome; returns the worker index."""
+        w, task = self.busy.pop(conn)
+        try:
+            outcome = conn.recv()
+        except (EOFError, OSError) as exc:
+            raise FalsifyError(
+                f"worker {w} died while running sample {task[0]}"
+            ) from exc
+        self.runner.handle(task, w, outcome)
+        return w
+
+    def pipeline(self) -> None:
+        """Keep every worker busy until the budget is spent.
 
         Feedback is applied as each result lands, without waiting for the
         rest of the batch — adaptive samplers therefore see feedback in
         completion order, which is the accepted nondeterminism of W>1.
         """
+        from multiprocessing.connection import wait
+
         runner = self.runner
-        self.threads = [
-            threading.Thread(
-                target=self._work,
-                args=(w,),
-                name=f"falsify-worker-{w}",
-                daemon=True,
-            )
-            for w in range(workers)
-        ]
-        for t in self.threads:
-            t.start()
+        idle = list(range(len(self.workers)))
         while True:
-            # Apply any feedback that has already arrived.
-            try:
-                while True:
-                    self._handle_next(block=False)
-            except queue.Empty:
-                pass
-            if self.in_flight < workers and runner.may_dispatch():
-                self.tasks.put(runner.dispatch())
-                self.in_flight += 1
-            elif self.in_flight == 0:
+            while idle and runner.may_dispatch():
+                self._send(idle.pop(), runner.dispatch())
+            if not self.busy:
                 return
-            else:
-                # Nothing to dispatch: block until a result lands.
-                self._handle_next(block=True)
+            for conn in wait(list(self.busy)):
+                idle.append(self._collect(conn))
 
     def drain(self) -> None:
         """After an abort, absorb what is still in flight.
@@ -413,9 +481,9 @@ class _Pool:
         flight too, so those repeats are logged once, as a count.
         """
         repeats = []
-        while self.in_flight > 0:
+        while self.busy:
             try:
-                self._handle_next(block=True)
+                self._collect(next(iter(self.busy)))
             except FalsifyError as exc:
                 repeats.append(exc)
         if repeats:
@@ -425,27 +493,34 @@ class _Pool:
             )
 
     def close(self) -> None:
-        for _ in self.threads:
-            self.tasks.put(None)
-        for t in self.threads:
-            t.join()
+        for conn, send, _ in self.workers:
+            with contextlib.suppress(OSError):  # a dead process's pipe
+                send(None)
+            conn.close()
+        for _, _, worker in self.workers:
+            worker.join()
 
 
 def run_campaign(config: CampaignConfig, simulate_fn=None) -> CampaignResult:
     """Run a campaign to its budget: sample, simulate, evaluate, update.
 
     At W=1 each sample runs inline on the coordinator.  A pool of one
-    thread would give the same records, but its handoff per sample costs
-    more than a fast simulation.
+    worker would give the same records, but its handoff per sample costs
+    more than a fast simulation.  At W>1 the default simulator runs in
+    forked processes and a caller's ``simulate_fn`` on threads (see the
+    module docstring); forking needs the ``fork`` start method, and
+    without it the default simulator runs on threads too.
     """
     runner = _Runner(config, simulate_fn)
     pool = _Pool(runner)
     try:
         if config.workers == 1:
             while runner.may_dispatch():
-                runner.handle(runner.run(runner.dispatch(), 0))
+                task = runner.dispatch()
+                runner.handle(task, 0, runner.run(task[2]))
         else:
-            pool.pipeline(config.workers)
+            pool.start(config.workers, forked=simulate_fn is None)
+            pool.pipeline()
     except FalsifyError as exc:
         pool.drain()
         raise CampaignError(

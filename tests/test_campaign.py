@@ -2,8 +2,15 @@
 equivalence, failure isolation, persistence, and coverage statistics."""
 
 import csv
+import dataclasses
 import json
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +20,7 @@ from falsify import campaign as ca
 from falsify import rulebook as rb
 from falsify import samplers as sa
 from falsify import scenarios as sc
-from falsify.errors import ConfigError, DomainError
+from falsify.errors import ConfigError, DomainError, FalsifyError
 from falsify.monitor import TERM_TIME_LIMIT
 from falsify.space import SampleVector
 
@@ -218,6 +225,114 @@ def test_run_campaign_dispatches_on_worker_count():
     serial = ca.run_campaign(make_config(seed=1, max_samples=12))
     parallel = ca.run_campaign(make_config(seed=1, max_samples=12, workers=3))
     assert {r.id for r in serial.records} == {r.id for r in parallel.records}
+
+
+@pytest.mark.parametrize("scenario", ["1", "5", "7"])
+def test_process_workers_return_the_inline_results(scenario):
+    # Without a simulate_fn, W>1 runs on forked processes; the records
+    # they send back must match the inline path's field for field.
+    config = make_config(scenario, sampler_name="halton", max_samples=60)
+    serial = ca.run_campaign(config)
+    parallel = ca.run_campaign(dataclasses.replace(config, workers=2))
+    assert [semantic(r) for r in parallel.records] == [
+        semantic(r) for r in serial.records
+    ]
+    assert {r.worker for r in parallel.records} == {0, 1}
+    assert (parallel.dispatched, parallel.failed) == (serial.dispatched, 0)
+    assert set(parallel.maximal) == set(serial.maximal)
+
+
+def _halton_values(config, sid):
+    """The values of sample ``sid`` in the config's Halton stream."""
+    sampler = sa.make_sampler("halton", config.space, config.seed)
+    for _ in range(sid):
+        sampler.next_sample()
+    return sampler.next_sample().values
+
+
+def test_dead_worker_process_aborts_with_the_partial_result(monkeypatch):
+    config = make_config("1", sampler_name="halton", max_samples=40, workers=2)
+    doomed = _halton_values(config, 10)
+    coordinator = os.getpid()
+
+    def dies_on_one_sample(config, sample):
+        if sample.values == doomed:
+            assert os.getpid() != coordinator, "sample ran in the coordinator"
+            os._exit(1)
+        return sc.simulate(config.scenario, sample)
+
+    monkeypatch.setattr(ca, "default_simulator", dies_on_one_sample)
+    with pytest.raises(ca.CampaignError, match="died while running sample 10") as err:
+        ca.run_campaign(config)
+    partial = err.value.partial
+    ids = {r.id for r in partial.records}
+    # Sample 10 is lost; whatever the other worker held was drained.
+    assert set(range(10)) <= ids and 10 not in ids
+    assert len(ids) == len(partial.records) == partial.dispatched - 1
+    assert multiprocessing.active_children() == []
+
+
+def test_worker_processes_ignore_sigint(monkeypatch):
+    # A Ctrl-C reaches the whole process group; only the coordinator acts on it.
+    config = make_config("1", sampler_name="halton", max_samples=30, workers=2)
+    interrupted = _halton_values(config, 5)
+    coordinator = os.getpid()
+
+    def interrupts_itself(config, sample):
+        if sample.values == interrupted:
+            assert os.getpid() != coordinator, "sample ran in the coordinator"
+            os.kill(os.getpid(), signal.SIGINT)
+        return sc.simulate(config.scenario, sample)
+
+    monkeypatch.setattr(ca, "default_simulator", interrupts_itself)
+    result = ca.run_campaign(config)
+    assert len(result.records) == 30 and result.failed == 0
+
+
+def test_worker_processes_exit_when_the_coordinator_end_closes():
+    pool = ca._Pool(ca._Runner(make_config(workers=2)))
+    pool.start(2, forked=True)
+    for conn, _, _ in pool.workers:
+        conn.close()  # as the coordinator's death would
+    for _, _, process in pool.workers:
+        process.join(timeout=10)
+        assert process.exitcode == 0
+
+
+def test_dispatch_to_a_dead_worker_process_is_a_package_error():
+    pool = ca._Pool(ca._Runner(make_config(workers=2)))
+    pool.start(2, forked=True)
+    try:
+        process = pool.workers[0][2]
+        process.kill()
+        process.join(timeout=10)
+        assert not process.is_alive()
+        with pytest.raises(FalsifyError, match="worker 0 died before sample 0"):
+            pool._send(0, pool.runner.dispatch())
+    finally:
+        pool.close()
+    assert multiprocessing.active_children() == []
+
+
+def test_setup_does_not_import_multiprocessing():
+    # Forking is set up inside the pool, so parsing a campaign costs a fresh
+    # interpreter none of multiprocessing's imports.
+    code = (
+        "import json, sys\n"
+        "import falsify, falsify.config\n"
+        "from importlib import resources\n"
+        "doc = resources.files('falsify.data').joinpath("
+        "'experiments/sweep_scenario_1.json').read_text()\n"
+        "falsify.config.parse_config(json.loads(doc))\n"
+        "print('multiprocessing' in sys.modules)\n"
+    )
+    src = Path(ca.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=True, timeout=60,
+    )
+    assert out.stdout.strip() == "False"
 
 
 # ---------------------------------------------------------------------------

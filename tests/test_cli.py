@@ -14,8 +14,7 @@ from falsify.campaign import (
     read_summary,
     run_campaign,
 )
-from falsify.config import example_config, load_config, parse_config
-from falsify.errors import ConfigError
+from falsify.config import example_config, parse_config
 from falsify.scenarios import ScenarioConfig, simulate
 
 

@@ -6,7 +6,6 @@ import functools
 import inspect
 import itertools
 import linecache
-import math
 import os
 import subprocess
 import sys

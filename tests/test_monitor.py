@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from falsify.errors import DomainError, SpecError
 from falsify.monitor import (
     EGO,
-    TERM_CLEARED,
     TERM_CRASH,
     TERM_TIME_LIMIT,
     JointSeparation,

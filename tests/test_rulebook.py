@@ -7,7 +7,6 @@ validated against brute-force maximal elements over everything offered.
 
 import itertools
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
