@@ -537,18 +537,26 @@ def run_campaign(config: CampaignConfig, simulate_fn=None) -> CampaignResult:
 # ---------------------------------------------------------------------------
 
 
-def _write_table(path: Path, records) -> None:
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(RECORD_FIELDS)
-        for r in records:
-            doc = r.to_json_dict()
-            writer.writerow([
-                doc["id"], doc["worker"], doc["t_dispatch"], doc["t_complete"],
-                json.dumps(doc["values"]), json.dumps(doc["buckets"]),
-                json.dumps(doc["rho"]), json.dumps(doc["b"]),
-                doc["counterexample"], doc["termination"], doc["sim_seconds"],
-            ])
+def _encoded(r: SampleRecord) -> tuple[list, str]:
+    """A record's CSV row and its JSONL line, with each list encoded once.
+
+    The line is ``json.dumps(r.to_json_dict())`` byte for byte.  The
+    scalars go through one ``json.dumps`` with the termination string
+    last: no number or bool encodes to text holding ", ", so the first six
+    splits are exact, and the seventh piece is the whole string.
+    """
+    values, buckets, rho, b = (
+        json.dumps(list(x)) for x in (r.sample.values, r.sample.buckets, r.rho, r.b)
+    )
+    scalars = json.dumps([r.id, r.worker, r.t_dispatch, r.t_complete,
+                          r.is_counterexample, r.sim_seconds, r.termination])
+    i, worker, t_dispatch, t_complete, flag, sim, term = scalars[1:-1].split(", ", 6)
+    fields = (i, worker, t_dispatch, t_complete, values, buckets, rho, b, flag,
+              term, sim)
+    line = "{" + ", ".join(f'"{k}": {v}' for k, v in zip(RECORD_FIELDS, fields)) + "}\n"
+    row = [r.id, r.worker, r.t_dispatch, r.t_complete, values, buckets, rho, b,
+           r.is_counterexample, r.termination, r.sim_seconds]
+    return row, line
 
 
 def write_artifacts(result: CampaignResult, out_dir) -> dict:
@@ -556,12 +564,18 @@ def write_artifacts(result: CampaignResult, out_dir) -> dict:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    _write_table(out / ERROR_CSV, result.error_table)
-    _write_table(out / SAFE_CSV, result.safe_table)
-
-    with (out / RECORDS_JSONL).open("w") as fh:
+    with (
+        (out / ERROR_CSV).open("w", newline="") as error_fh,
+        (out / SAFE_CSV).open("w", newline="") as safe_fh,
+        (out / RECORDS_JSONL).open("w") as log,
+    ):
+        tables = {True: csv.writer(error_fh), False: csv.writer(safe_fh)}
+        for table in tables.values():
+            table.writerow(RECORD_FIELDS)
         for r in result.records:
-            fh.write(json.dumps(r.to_json_dict()) + "\n")
+            row, line = _encoded(r)
+            tables[r.is_counterexample].writerow(row)
+            log.write(line)
 
     summary = {
         "config": result.config.describe(),

@@ -33,6 +33,7 @@ import linecache
 import logging
 import math
 import os
+import struct
 import threading
 from dataclasses import dataclass
 
@@ -230,6 +231,7 @@ def _integrate_impl(
 _RULE_NAMES = ("none", "brake_near", "wait_until_near", "boost_on_lateral",
                "lane_change", "brake_ahead")
 _BRAKES = {RULE_BRAKE_NEAR, RULE_BRAKE_AHEAD}
+_GAPS = {RULE_BRAKE_NEAR, RULE_WAIT_UNTIL_NEAR, RULE_LANE_CHANGE}  # gap < f0
 
 # Compiled kernels kept, one per scene structure; a catalog scenario has one.
 KERNEL_CACHE_SIZE = 64
@@ -264,8 +266,22 @@ def _kernel_source(modes, rules) -> str:
     Agent state lives in locals (``x0, y0, h0, v0, ...``) and each rule is
     inlined with its type resolved; the floats stay arguments.  Every float
     goes through the same operations in the same order as in
-    ``_integrate_impl``.  The one reuse, ``cos``/``sin`` of the frame-k
-    heading shared by an agent's brake-ahead rules, is the same value.
+    ``_integrate_impl``.  Two shortcuts skip ``math`` calls whose outcome
+    is already known, so the trajectories stay bit-identical:
+
+    - Each agent keeps ``cos`` and ``sin`` of its heading (``co0, sn0``)
+      and recomputes them only when the heading no longer compares equal
+      to the one they were computed for (``hc0``).  Floats that compare
+      equal have the same bits, except +0.0 and -0.0: for those ``cos`` is
+      1.0 either way and ``sin`` returns its argument, so ``sn0 = h0``
+      keeps the sign.  NaN never compares equal, so it is recomputed.  An
+      agent's brake-ahead rules read the same pair: it holds the frame-k
+      heading until the agent steers.
+    - Each ``hypot(dx, dy) < r`` is guarded by ``-r < dx < r and -r < dy < r``.
+      ``math.hypot`` is faithfully rounded (error under 1 ulp) and
+      ``max(|dx|, |dy|)`` is a float no larger than the exact length, so
+      the result is never below it: whenever the guard fails, the test
+      fails too.  A NaN leg fails both.
     """
     agents = range(len(modes))
     lines = []
@@ -276,6 +292,18 @@ def _kernel_source(modes, rules) -> str:
     def row(fmt, among=agents):
         return ", ".join(fmt.format(a=a) for a in among) + ","
 
+    def near(dx, dy, r, neg_r):
+        # hypot(dx, dy) < r, exactly.  hypot is never below max(|dx|, |dy|),
+        # so with a leg outside (-r, r) the test is false without the call.
+        return (f"{neg_r} < (dx := {dx}) < {r} and {neg_r} < (dy := {dy}) < {r}"
+                f" and hypot(dx, dy) < {r}")
+
+    def steer(depth, a, heading):
+        emit(depth, f"h{a} = {heading}", f"if h{a} != hc{a}:")
+        emit(depth + 1, f"hc{a}, co{a}, sn{a} = h{a}, cos(h{a}), sin(h{a})")
+        emit(depth, f"elif h{a} == 0.0:")
+        emit(depth + 1, f"sn{a} = h{a}")
+
     # Controls read the frame-k values.  A later agent's rule may read an
     # earlier agent's position, so that agent's new position is assigned
     # only after every agent has updated.
@@ -285,8 +313,9 @@ def _kernel_source(modes, rules) -> str:
     emit(1, "hypot, atan2, cos, sin = math.hypot, math.atan2, math.cos, math.sin",
          f"{row('(x{a}, y{a})')} = pos", f"{row('h{a}')} = heading",
          f"{row('v{a}')} = speed", f"{row('c{a}')} = cruise",
-         f"{row('acc{a}')} = accel")
+         f"{row('acc{a}')} = accel", "ncap, ncrash = -capture_radius, -crash_dist")
     for a in agents:
+        emit(1, f"hc{a}, co{a}, sn{a} = h{a}, cos(h{a}), sin(h{a})")
         if modes[a] == MODE_WAYPOINT:
             emit(1, f"wps{a} = waypoints[{a}]", f"n{a} = len(wps{a})", f"i{a} = 0",
                  f"wx{a}, wy{a} = wps{a}[0]")
@@ -294,6 +323,8 @@ def _kernel_source(modes, rules) -> str:
             emit(1, f"gx{a} = goal_x[{a}]", f"ly{a} = lane_y[{a}]", f"done{a} = False")
         for j, (rt, _) in enumerate(rules[a]):
             emit(1, f"_, _, f{a}_{j}_0, f{a}_{j}_1, f{a}_{j}_2 = rules[{a}][{j}]")
+            if rt in _GAPS:
+                emit(1, f"nf{a}_{j} = -f{a}_{j}_0")
             if rt not in _BRAKES:
                 emit(1, f"s{a}_{j} = 0.0")
     emit(1, "rec_pos, rec_heading, rec_speed = [], [], []", f"term = {CODE_TIME_LIMIT}",
@@ -303,15 +334,15 @@ def _kernel_source(modes, rules) -> str:
          "# Goal bookkeeping on the recorded state.")
     for a in agents:
         if modes[a] == MODE_WAYPOINT:
-            emit(2, f"while i{a} < n{a} and"
-                    f" hypot(wx{a} - x{a}, wy{a} - y{a}) < capture_radius:")
+            capture = near(f"wx{a} - x{a}", f"wy{a} - y{a}", "capture_radius", "ncap")
+            emit(2, f"while i{a} < n{a} and {capture}:")
             emit(3, f"i{a} += 1", f"if i{a} < n{a}:")
             emit(4, f"wx{a}, wy{a} = wps{a}[i{a}]")
         else:
             emit(2, f"if x{a} >= gx{a}:")
             emit(3, f"done{a} = True")
     for a in agents[1:]:
-        emit(2, f"if hypot(x{a} - x0, y{a} - y0) < crash_dist:")
+        emit(2, f"if {near(f'x{a} - x0', f'y{a} - y0', 'crash_dist', 'ncrash')}:")
         emit(3, f"term = {CODE_CRASH}", "break")
     emit(2, "if " + " and ".join(
         f"i{a} >= n{a}" if modes[a] == MODE_WAYPOINT else f"done{a}" for a in agents
@@ -329,21 +360,20 @@ def _kernel_source(modes, rules) -> str:
             emit(2, "holding = False")
         if modes[a] == MODE_LANE:
             emit(2, f"y_des = ly{a}")
-        if RULE_BRAKE_AHEAD in kinds:
-            emit(2, f"ch = cos(h{a})", f"sh = sin(h{a})")
         for j, (rt, b) in enumerate(rules[a]):
             f0, f1, f2, s = f"f{a}_{j}_0", f"f{a}_{j}_1", f"f{a}_{j}_2", f"s{a}_{j}"
-            gap = f"hypot(x{b} - x{a}, y{b} - y{a})"
+            gap_below_f0 = near(f"x{b} - x{a}", f"y{b} - y{a}", f0, f"nf{a}_{j}")
             if rt == RULE_BRAKE_AHEAD:
                 emit(2, f"dx = x{b} - x{a}", f"dy = y{b} - y{a}",
-                     "along = dx * ch + dy * sh", "cross = -dx * sh + dy * ch",
+                     f"along = dx * co{a} + dy * sn{a}",
+                     f"cross = -dx * sn{a} + dy * co{a}",
                      f"if 0.0 < along < {f0} and abs(cross) < {f2}:")
             elif rt == RULE_BRAKE_NEAR:
-                emit(2, f"if {gap} < {f0}:")
+                emit(2, f"if {gap_below_f0}:")
             elif rt == RULE_BOOST_ON_LATERAL:
                 emit(2, f"if {s} == 0.0 and abs(y{b} - {f2}) > {f0}:")
             else:
-                emit(2, f"if {s} == 0.0 and {gap} < {f0}:")
+                emit(2, f"if {s} == 0.0 and {gap_below_f0}:")
             if rt in _BRAKES:
                 emit(3, "braking = True", f"if {f1} > brake_rate:")
                 emit(4, f"brake_rate = {f1}")
@@ -364,9 +394,9 @@ def _kernel_source(modes, rules) -> str:
             emit(3, "ts = 0.0")
         if modes[a] == MODE_WAYPOINT:
             emit(2, f"if i{a} < n{a}:")
-            emit(3, f"h{a} = atan2(wy{a} - y{a}, wx{a} - x{a})")
+            steer(3, a, f"atan2(wy{a} - y{a}, wx{a} - x{a})")
         else:
-            emit(2, f"h{a} = atan2(lat_gain * (y_des - y{a}), 1.0)")
+            steer(2, a, f"atan2(lat_gain * (y_des - y{a}), 1.0)")
         emit(2, f"if v{a} < ts:")
         emit(3, f"u = v{a} + acc{a} * dt", f"v{a} = u if u < ts else ts")
         emit(2, f"elif v{a} > ts:")
@@ -375,8 +405,8 @@ def _kernel_source(modes, rules) -> str:
              f"if v{a} < 0.0:")
         emit(4, f"v{a} = 0.0")
         new = "n" if a in deferred else ""
-        emit(2, f"{new}x{a} = x{a} + v{a} * cos(h{a}) * dt",
-             f"{new}y{a} = y{a} + v{a} * sin(h{a}) * dt")
+        emit(2, f"{new}x{a} = x{a} + v{a} * co{a} * dt",
+             f"{new}y{a} = y{a} + v{a} * sn{a} * dt")
     if deferred:
         emit(2, f"{row('x{a}, y{a}', deferred)} = {row('nx{a}, ny{a}', deferred)}")
     emit(1, "return rec_pos, rec_heading, rec_speed, term")
@@ -614,7 +644,9 @@ def integrate_python(scene: Scene, dt: float, max_frames: int):
     The kernel for the scene's structure (``_structure``) is straight-line
     Python from ``_kernel_source``.  It reads the Scene's lists as they
     are and records each trajectory flat, frame after frame; here they are
-    shaped into the same arrays ``_run_arrays`` returns, bit for bit.
+    shaped into the same values ``_run_arrays`` returns, bit for bit.  Each
+    list is packed into bytes and viewed as float64 in one copy, so the
+    arrays are read-only.
     """
     pos, heading, speed, code = _compiled(_structure(scene))(
         scene.pos, scene.heading, scene.speed, scene.cruise, scene.accel,
@@ -622,10 +654,14 @@ def integrate_python(scene: Scene, dt: float, max_frames: int):
         CRASH_DISTANCE, CAPTURE_RADIUS, LATERAL_GAIN,
     )
     frames = len(speed) // len(scene.agents)
+    pos, heading, speed = (
+        np.frombuffer(struct.pack(f"{len(flat)}d", *flat), dtype=np.float64)
+        for flat in (pos, heading, speed)
+    )
     return (
-        np.array(pos, dtype=np.float64).reshape(frames, -1, 2),
-        np.array(heading, dtype=np.float64).reshape(frames, -1),
-        np.array(speed, dtype=np.float64).reshape(frames, -1),
+        pos.reshape(frames, -1, 2),
+        heading.reshape(frames, -1),
+        speed.reshape(frames, -1),
         code,
     )
 

@@ -9,6 +9,7 @@ somewhere along the run.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -97,10 +98,26 @@ class Trajectory:
         delta = self.positions[:, ia, :] - self.positions[:, ib, :]
         return np.hypot(delta[:, 0], delta[:, 1])
 
+    @cached_property
+    def ego_separations(self) -> np.ndarray:
+        """(F, A): ``separations(EGO, agent)`` for every agent, computed once.
+
+        Each column is bit for bit what ``separations`` returns.  The table
+        is laid out agent-major, so numpy runs each step in long contiguous
+        loops and each agent's column is contiguous.
+        """
+        ego = self.agents.index(EGO)
+        xy = self.positions.transpose(2, 1, 0)  # (2, A, F)
+        delta = np.subtract(xy[:, ego:ego + 1], xy, order="C")
+        sep = np.hypot(delta[0], delta[1]).T
+        sep.setflags(write=False)
+        return sep
+
 
 def _clearance(traj: Trajectory, agent: str, threshold: float) -> float:
     """The ego's worst margin over the threshold from one agent in the run."""
-    return float((traj.separations(EGO, agent) - threshold).min())
+    column = traj.ego_separations[:, traj.agent_index(agent)]
+    return float((column - threshold).min())
 
 
 @dataclass(frozen=True)

@@ -90,12 +90,16 @@ class Sampler:
     """Common shell: seed handling, counters, maximal set, sampling loop.
 
     Subclasses implement ``_draw(sample_id, rng) -> (values, buckets)``
-    and optionally ``_absorb(feedback)``.  A sampler must be initialized
-    over a feature space (directly or via ``make_sampler``) before use,
-    and needs a rulebook once it is fed a counterexample.
+    and optionally ``_absorb(feedback)``.  ``rng`` is the sample's own
+    Generator, seeded by ``(seed, sample_id)``; a sampler whose draw reads
+    none sets ``draws_rng = False`` and gets None, so none is built.  A
+    sampler must be initialized over a feature space (directly or via
+    ``make_sampler``) before use, and needs a rulebook once it is fed a
+    counterexample.
     """
 
     name = "base"
+    draws_rng = True
 
     def __init__(self, seed: int, rulebook: Rulebook | None = None):
         self.seed = int(seed)
@@ -132,7 +136,7 @@ class Sampler:
     def next_sample(self) -> SampleVector:
         space = self._require_space()
         sid = self.issued
-        values, buckets = self._draw(sid, self._rng(sid))
+        values, buckets = self._draw(sid, self._rng(sid) if self.draws_rng else None)
         self.issued += 1
         return SampleVector(
             tuple(float(v) for v in values), tuple(int(b) for b in buckets)
@@ -238,6 +242,7 @@ class HaltonSampler(Sampler):
     """Low-discrepancy sequence; deterministic, ignores the seed."""
 
     name = "halton"
+    draws_rng = False
 
     def _init_state(self, space):
         self.bases = first_primes(space.d)

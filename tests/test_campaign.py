@@ -394,6 +394,68 @@ def test_csv_tables_partition_records(tmp_path):
     assert all(r["counterexample"] == "True" for r in error_rows)
 
 
+def legacy_artifacts(result, out):
+    """The tables and the record log as written before each record's lists
+    were encoded once: ``to_json_dict`` and ``json.dumps`` per file."""
+    for name, table in ((ca.ERROR_CSV, result.error_table),
+                        (ca.SAFE_CSV, result.safe_table)):
+        with (out / name).open("w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(ca.RECORD_FIELDS)
+            for r in table:
+                doc = r.to_json_dict()
+                writer.writerow([
+                    doc["id"], doc["worker"], doc["t_dispatch"], doc["t_complete"],
+                    json.dumps(doc["values"]), json.dumps(doc["buckets"]),
+                    json.dumps(doc["rho"]), json.dumps(doc["b"]),
+                    doc["counterexample"], doc["termination"], doc["sim_seconds"],
+                ])
+    with (out / ca.RECORDS_JSONL).open("w") as fh:
+        for r in result.records:
+            fh.write(json.dumps(r.to_json_dict()) + "\n")
+
+
+def test_artifact_tables_and_log_are_byte_identical_to_legacy(tmp_path):
+    result = ca.run_campaign(make_config(
+        "intersection", adversaries=3, sampler_name="mab", max_samples=60,
+        rulebook=rb.disconnected(3),
+    ))
+    assert result.error_table and result.safe_table
+    (tmp_path / "new").mkdir()
+    (tmp_path / "old").mkdir()
+    ca.write_artifacts(result, tmp_path / "new")
+    legacy_artifacts(result, tmp_path / "old")
+    for name in (ca.ERROR_CSV, ca.SAFE_CSV, ca.RECORDS_JSONL):
+        assert (tmp_path / "new" / name).read_bytes() == (
+            tmp_path / "old" / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("changes", [
+    dict(t_dispatch=0, t_complete=1, sim_seconds=2),  # ints
+    dict(t_dispatch=float("nan"), t_complete=float("inf"),
+         sim_seconds=-float("inf")),
+    dict(termination='odd, "quoted", ünïcode\n'),
+    dict(id=True, worker=False),
+])
+def test_encoded_record_line_equals_json_dumps(changes):
+    record = ca.SampleRecord(
+        id=7, worker=1, t_dispatch=0.25, t_complete=0.5,
+        sample=SampleVector((1.5, -0.0, 1e-300), (0, 3, 2)),
+        rho=(-1.0, float("nan"), 2.5), b=(True, False, False),
+        is_counterexample=True, termination="crash", sim_seconds=1e-4,
+    )
+    record = dataclasses.replace(record, **changes)
+    row, line = ca._encoded(record)
+    assert line == json.dumps(record.to_json_dict()) + "\n"
+    doc = record.to_json_dict()
+    assert row == [
+        doc["id"], doc["worker"], doc["t_dispatch"], doc["t_complete"],
+        json.dumps(doc["values"]), json.dumps(doc["buckets"]),
+        json.dumps(doc["rho"]), json.dumps(doc["b"]),
+        doc["counterexample"], doc["termination"], doc["sim_seconds"],
+    ]
+
+
 def test_read_records_missing_dir(tmp_path):
     with pytest.raises(ConfigError, match="records"):
         ca.read_records(tmp_path / "nowhere")

@@ -1,15 +1,18 @@
 """Integrator unit tests: builder validation, rule behaviors, terminations,
 backend equivalence, and motion invariants."""
 
+import collections
 import dataclasses
 import functools
 import inspect
 import itertools
 import linecache
+import math
 import os
 import subprocess
 import sys
 import traceback
+import types
 
 import numpy as np
 import pytest
@@ -478,6 +481,82 @@ def test_generated_kernel_source_is_in_linecache():
     assert frame.line == "(x0, y0), (x1, y1), (x2, y2), (x3, y3), = pos"
 
 
+def signed_zero_scene():
+    """Headings that flip between +0.0 and -0.0, which compare equal.
+
+    The ego's waypoints alternate the sign of zero in y, and ``car`` steers
+    toward a lane at -0.0 while it passes the ego, then back to +0.0.
+    """
+    b = kin.SceneBuilder()
+    ego = b.add_waypoint_agent(
+        "ego", (0.0, 0.0), [(5.0, -0.0), (10.0, 0.0), (15.0, -0.0), (20.0, 0.0)],
+        speed=6.0,
+    )
+    car = b.add_lane_agent("car", (-12.0, 0.0), speed=10.0, goal_x=60.0)
+    walker = stationary_obstacle(b, "walker", (40.0, -0.0))
+    b.brake_ahead(ego, walker, trigger=30.0, decel=4.0, corridor=2.0)
+    b.lane_change(car, ego, trigger=8.0, to_y=-0.0, clear_margin=1.0)
+    return b.build()
+
+
+def test_generated_kernel_keeps_the_sign_of_zero_headings():
+    scene = signed_zero_scene()
+    got = kin.run_scene(scene, backend="python")
+    assert_bit_identical(got, oracle(scene))
+    heading = got[1]
+    for a in (0, 1):
+        zeros = heading[:, a][heading[:, a] == 0.0]
+        signs = set(np.signbit(zeros).tolist())
+        assert signs == {False, True}, scene.agents[a]
+
+
+@given(st.floats(allow_nan=False), st.floats(allow_nan=False))
+def test_hypot_is_never_below_either_leg(dx, dy):
+    # What makes the generated kernel's hypot guards exact.
+    assert math.hypot(dx, dy) >= max(abs(dx), abs(dy))
+
+
+def test_generated_kernel_skips_known_math_calls():
+    """The trig cache and the hypot guards, pinned by a count.
+
+    Without them the kernel makes about 22 hypot, cos and sin calls per
+    frame on these m=5 intersection draws; with them, about 1.
+    """
+    cfg = sc.ScenarioConfig("intersection", adversaries=5)
+    bindings = sc.feature_bindings(cfg)
+    rng = np.random.default_rng(5)
+    calls = collections.Counter()
+
+    def counted(name):
+        fn = getattr(math, name)
+
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+        return call
+
+    shim = types.SimpleNamespace(
+        **{name: counted(name) for name in ("hypot", "atan2", "cos", "sin")}
+    )
+    frames = 0
+    for _ in range(12):
+        scene = sc.build_scene(cfg, [rng.uniform(f.lo, f.hi) for f in bindings])
+        namespace = {"math": shim}
+        exec(kin._kernel_source(*kin._structure(scene)), namespace)
+        pos, heading, speed, code = namespace["kernel"](
+            scene.pos, scene.heading, scene.speed, scene.cruise, scene.accel,
+            scene.waypoints, scene.goal_x, scene.lane_y, scene.rules,
+            cfg.dt, cfg.max_frames,
+            kin.CRASH_DISTANCE, kin.CAPTURE_RADIUS, kin.LATERAL_GAIN,
+        )
+        want = oracle(scene, cfg.dt, cfg.max_frames)
+        assert code == want[3] and pos == want[0].ravel().tolist()
+        frames += len(speed) // len(scene.agents)
+    assert frames > 1000
+    per_frame = (calls["hypot"] + calls["cos"] + calls["sin"]) / frames
+    assert per_frame < 3.0, dict(calls)
+
+
 def test_same_backend_is_deterministic():
     a = kin.run_scene(rich_scene())
     b = kin.run_scene(rich_scene())
@@ -540,13 +619,19 @@ finite = st.floats(allow_nan=False, allow_infinity=False)
 def scenes(draw):
     b = kin.SceneBuilder()
     n = draw(st.integers(min_value=1, max_value=4))
-    coord = st.floats(min_value=-80, max_value=80)
-    spd = st.floats(min_value=0, max_value=15)
+    # Half-metre grid values can put one leg of a distance exactly on
+    # CRASH_DISTANCE (0.5) or CAPTURE_RADIUS (1.5), or a gap on a trigger.
+    half = st.integers(min_value=-160, max_value=160).map(lambda k: k / 2)
+    coord = st.floats(min_value=-80, max_value=80) | half
+    spd = st.floats(min_value=0, max_value=15) | st.sampled_from([0.0, 5.0])
+    trigger = st.floats(1, 30) | st.integers(2, 60).map(lambda k: k / 2)
+    lanes = set()
     for i in range(n):
         pos = (draw(coord), draw(coord))
         if draw(st.booleans()):
             b.add_lane_agent(f"a{i}", pos, speed=draw(spd),
                              goal_x=draw(st.floats(min_value=50, max_value=200)))
+            lanes.add(i)
         else:
             wps = [(draw(coord), draw(coord))
                    for _ in range(draw(st.integers(1, 3)))]
@@ -558,20 +643,23 @@ def scenes(draw):
         t = draw(st.integers(0, n - 1))
         if a == t:
             continue
-        kind = draw(st.integers(0, 3))
+        kind = draw(st.integers(0, 4 if a in lanes else 3))
         if kind == 0:
-            b.brake_near(a, t, trigger=draw(st.floats(1, 30)),
+            b.brake_near(a, t, trigger=draw(trigger),
                          decel=draw(st.floats(1, 10)))
         elif kind == 1:
-            b.brake_ahead(a, t, trigger=draw(st.floats(1, 30)),
+            b.brake_ahead(a, t, trigger=draw(trigger),
                           decel=draw(st.floats(1, 10)),
                           corridor=draw(st.floats(0.5, 6)))
         elif kind == 2:
-            b.wait_until_near(a, t, trigger=draw(st.floats(0, 30)))
-        else:
+            b.wait_until_near(a, t, trigger=draw(st.floats(0, 30) | half.map(abs)))
+        elif kind == 3:
             b.boost_on_lateral(a, t, offset_threshold=draw(st.floats(0.5, 5)),
                                boost_speed=draw(st.floats(0, 15)),
                                ref_y=draw(st.floats(-10, 10)))
+        else:
+            b.lane_change(a, t, trigger=draw(trigger), to_y=draw(coord),
+                          clear_margin=draw(st.floats(0, 10) | half.map(abs)))
     return b.build()
 
 

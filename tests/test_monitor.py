@@ -92,6 +92,28 @@ class TestTrajectory:
         with pytest.raises(SpecError, match="ghost"):
             traj.separations(EGO, "ghost")
 
+    @given(st.integers(1, 40), st.integers(0, 4), st.integers(0, 4),
+           st.integers(0, 2**31))
+    @settings(max_examples=100)
+    def test_ego_separations_match_separations(self, frames, m, ego_at, seed):
+        # The one-pass table, and the clearance each metric reads from it,
+        # equal the per-agent path bit for bit wherever the ego sits.
+        rng = np.random.default_rng(seed)
+        agents = [f"adv{i}" for i in range(m)]
+        agents.insert(min(ego_at, m), EGO)
+        positions = rng.uniform(-30, 30, size=(frames, m + 1, 2))
+        zeros = np.zeros((frames, m + 1))
+        traj = Trajectory(agents, positions, zeros, zeros, 0.1, TERM_TIME_LIMIT)
+        table = traj.ego_separations
+        assert table.shape == (frames, m + 1) and not table.flags.writeable
+        for i, name in enumerate(agents):
+            per_agent = traj.separations(EGO, name)
+            assert table[:, i].tobytes() == per_agent.tobytes()
+            rho = MinSeparation(name, 5.0).robustness(traj)
+            assert type(rho) is float
+            want = float((per_agent - 5.0).min())
+            assert np.float64(rho).tobytes() == np.float64(want).tobytes()
+
 
 class TestMinSeparation:
     def test_constant_separation(self):

@@ -249,6 +249,18 @@ def test_halton_scaled_into_range():
     assert sampler.next_sample().values == (6.0,)  # 4 + 0.5 * 4
 
 
+@pytest.mark.parametrize("name", sa.SAMPLER_NAMES)
+def test_only_samplers_that_draw_from_a_generator_build_one(name, monkeypatch):
+    built = []
+    rng = sa.Sampler._rng
+    monkeypatch.setattr(sa.Sampler, "_rng",
+                        lambda self, sid: built.append(sid) or rng(self, sid))
+    sampler = sa.make_sampler(name, unit_space(3, 4), 9, rulebook=rb.disconnected(1))
+    for _ in range(6):
+        sampler.next_sample()
+    assert built == ([] if name == "halton" else list(range(6)))
+
+
 def star_discrepancy_proxy(points):
     """Max |empirical - volume| over anchored boxes [0,u)x[0,v) at sample corners."""
     pts = np.asarray(points)
