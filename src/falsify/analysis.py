@@ -157,22 +157,6 @@ class CampaignStats:
     def has_ci(self) -> bool:
         return self.ci_lo is not None and self.ci_hi is not None
 
-    def to_dict(self) -> dict:
-        return {
-            "scenario_id": self.scenario_id,
-            "sampler": self.sampler,
-            "samples": self.samples,
-            "counterexamples": self.counterexamples,
-            "proportion": self.proportion,
-            "confidence": self.confidence,
-            "ci_lo": self.ci_lo,
-            "ci_hi": self.ci_hi,
-            "bucket_histograms": self.bucket_histograms,
-            "distinct_combinations": self.distinct_combinations,
-            "maximal_set_size": self.maximal_set_size,
-            "wall_seconds": self.wall_seconds,
-        }
-
 
 def speedup_factor(parallel_samples: int, serial_samples: int) -> float:
     """How many samples the parallel run completed per serial sample."""

@@ -35,13 +35,6 @@ class Check:
     passed: bool
     measured: dict
 
-    def to_dict(self) -> dict:
-        return {
-            "description": self.description,
-            "passed": self.passed,
-            "measured": self.measured,
-        }
-
 
 @dataclass(frozen=True)
 class Experiment:
@@ -248,7 +241,7 @@ def run_experiment(experiment: Experiment) -> dict:
         "description": experiment.description,
         "configs": list(experiment.config_names),
         "seconds": round(time.perf_counter() - start, 3),
-        "checks": [c.to_dict() for c in checks],
+        "checks": [dataclasses.asdict(c) for c in checks],
         "passed": error is None and bool(checks) and all(c.passed for c in checks),
     }
     if error is not None:

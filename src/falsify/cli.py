@@ -148,7 +148,7 @@ def cmd_report(args) -> int:
     except FalsifyError as exc:
         return _fail(str(exc), EXIT_CONFIG)
 
-    doc = stats.to_dict()
+    doc = dataclasses.asdict(stats)
     if not stats.has_ci:
         doc["note"] = _ci_note(stats)
 
@@ -196,8 +196,8 @@ def cmd_compare(args) -> int:
 
     doc = {
         "scenario": stats_a.scenario_id,
-        "a": {"run_dir": str(args.run_dir_a), **stats_a.to_dict()},
-        "b": {"run_dir": str(args.run_dir_b), **stats_b.to_dict()},
+        "a": {"run_dir": str(args.run_dir_a), **dataclasses.asdict(stats_a)},
+        "b": {"run_dir": str(args.run_dir_b), **dataclasses.asdict(stats_b)},
         "speedup_factor": speedup_factor(stats_a.samples, stats_b.samples),
         "counterexamples": {
             "a": stats_a.counterexamples,

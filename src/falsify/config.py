@@ -35,7 +35,7 @@ from .scenarios import (
     default_specification,
     feature_bindings,
 )
-from .space import Dimension, FeatureSpace
+from .space import DEFAULT_BUCKET_COUNT, Dimension, FeatureSpace
 
 TOP_LEVEL_KEYS = {
     "feature_space",
@@ -78,7 +78,7 @@ def _parse_feature_space(doc, scenario: ScenarioConfig) -> FeatureSpace:
         return default_feature_space(scenario)
     doc = _require_mapping(doc, "feature_space")
     _reject_unknown(doc, {"dimensions", "buckets"}, "feature_space")
-    buckets = int(doc.get("buckets", 10))
+    buckets = int(doc.get("buckets", DEFAULT_BUCKET_COUNT))
     dims_doc = doc.get("dimensions")
     if dims_doc is None:
         dims = [

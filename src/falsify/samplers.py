@@ -93,40 +93,24 @@ class Sampler:
     and optionally ``_absorb(feedback)``.  ``rng`` is the sample's own
     Generator, seeded by ``(seed, sample_id)``; a sampler whose draw reads
     none sets ``draws_rng = False`` and gets None, so none is built.  A
-    sampler must be initialized over a feature space (directly or via
-    ``make_sampler``) before use, and needs a rulebook once it is fed a
-    counterexample.
+    sampler is built over its feature space and needs a rulebook once it
+    is fed a counterexample.
     """
 
     name = "base"
     draws_rng = True
 
-    def __init__(self, seed: int, rulebook: Rulebook | None = None):
-        self.seed = int(seed)
-        self.rulebook = rulebook
-        self.space: FeatureSpace | None = None
-        self.issued = 0     # next_sample calls so far
-        self.completed = 0  # update calls so far
-        self.maximal: list[FalsificationVector] = []  # in admission order
-
-    # -- lifecycle ---------------------------------------------------------
-
-    def initialize(self, space: FeatureSpace) -> "Sampler":
+    def __init__(
+        self, space: FeatureSpace, seed: int, rulebook: Rulebook | None = None
+    ):
         if not isinstance(space, FeatureSpace):
             raise ConfigError(f"expected a FeatureSpace, got {type(space)}")
         self.space = space
-        self._init_state(space)
-        return self
-
-    def _init_state(self, space: FeatureSpace) -> None:
-        pass
-
-    def _require_space(self) -> FeatureSpace:
-        if self.space is None:
-            raise StateError(
-                f"{self.name!r} sampler is not initialized over a feature space"
-            )
-        return self.space
+        self.seed = int(seed)
+        self.rulebook = rulebook
+        self.issued = 0     # next_sample calls so far
+        self.completed = 0  # update calls so far
+        self.maximal: list[FalsificationVector] = []  # in admission order
 
     def _rng(self, sample_id: int) -> np.random.Generator:
         return np.random.default_rng((self.seed, sample_id))
@@ -134,7 +118,6 @@ class Sampler:
     # -- sampling ----------------------------------------------------------
 
     def next_sample(self) -> SampleVector:
-        space = self._require_space()
         sid = self.issued
         values, buckets = self._draw(sid, self._rng(sid) if self.draws_rng else None)
         self.issued += 1
@@ -151,7 +134,7 @@ class Sampler:
         """Fold in one completed sample: reads ``feedback.sample``, ``.b`` and
         ``.is_counterexample`` (a SampleFeedback or a campaign SampleRecord).
         """
-        space = self._require_space()
+        space = self.space
         buckets = feedback.sample.buckets
         if len(buckets) != space.d:
             raise StateError(
@@ -187,8 +170,8 @@ class Sampler:
             "seed": self.seed,
             "issued": self.issued,
             "completed": self.completed,
-            "dimensions": list(space.names) if space else None,
-            "bucket_count": space.bucket_count if space else None,
+            "dimensions": list(space.names),
+            "bucket_count": space.bucket_count,
             "maximal": [list(bits) for bits in self.maximal],
         }
         snap.update(self._snapshot_extra())
@@ -244,7 +227,8 @@ class HaltonSampler(Sampler):
     name = "halton"
     draws_rng = False
 
-    def _init_state(self, space):
+    def __init__(self, space, seed, rulebook=None):
+        super().__init__(space, seed, rulebook)
         self.bases = first_primes(space.d)
 
     def _draw(self, sample_id, rng):
@@ -266,13 +250,11 @@ class CrossEntropySampler(Sampler):
 
     name = "cross-entropy"
 
-    def __init__(self, seed: int, alpha: float = DEFAULT_ALPHA, rulebook=None):
-        super().__init__(seed, rulebook)
+    def __init__(self, space, seed, alpha: float = DEFAULT_ALPHA, rulebook=None):
+        super().__init__(space, seed, rulebook)
         if not 0.0 < alpha < 1.0:
             raise ConfigError(f"alpha must be in (0, 1), got {alpha}")
         self.alpha = float(alpha)
-
-    def _init_state(self, space):
         self.weights = np.full(
             (space.d, space.bucket_count), 1.0 / space.bucket_count
         )
@@ -315,7 +297,8 @@ class MultiArmedBanditSampler(Sampler):
 
     name = "mab"
 
-    def _init_state(self, space):
+    def __init__(self, space, seed, rulebook=None):
+        super().__init__(space, seed, rulebook)
         shape = (space.d, space.bucket_count)
         self.visits = np.zeros(shape, dtype=np.int64)
         self.counts: dict[FalsificationVector, np.ndarray] = {}
@@ -424,22 +407,18 @@ def make_sampler(
     rulebook: Rulebook | None = None,
     alpha: float = DEFAULT_ALPHA,
 ) -> Sampler:
-    """Construct and initialize a sampler by strategy name."""
+    """Construct a sampler over ``space`` by strategy name."""
     if name == "uniform":
-        sampler: Sampler = UniformSampler(seed, rulebook)
-    elif name == "halton":
-        sampler = HaltonSampler(seed, rulebook)
-    elif name == "cross-entropy":
-        sampler = CrossEntropySampler(seed, alpha=alpha, rulebook=rulebook)
-    elif name == "mab":
+        return UniformSampler(space, seed, rulebook)
+    if name == "halton":
+        return HaltonSampler(space, seed, rulebook)
+    if name == "cross-entropy":
+        return CrossEntropySampler(space, seed, alpha=alpha, rulebook=rulebook)
+    if name == "mab":
         if rulebook is None:
             raise ConfigError("the 'mab' sampler needs a rulebook")
-        sampler = MultiArmedBanditSampler(seed, rulebook)
-    else:
-        raise ConfigError(
-            f"unknown sampler {name!r}; expected one of {SAMPLER_NAMES}"
-        )
-    return sampler.initialize(space)
+        return MultiArmedBanditSampler(space, seed, rulebook)
+    raise ConfigError(f"unknown sampler {name!r}; expected one of {SAMPLER_NAMES}")
 
 
 def restore(

@@ -9,8 +9,11 @@ unsafe regions are provided for sampler calibration tests; they are not
 part of the road catalog.
 
 Geometry conventions: intersection at the origin, lanes 6 m wide, lane
-centers at ±3 m.  Eastbound traffic uses y = -3, westbound y = +3,
-northbound x = +3, southbound x = -3.
+centers at ±``HALF`` = ±3 m.  Eastbound traffic uses y = -3, westbound
+y = +3, northbound x = +3, southbound x = -3.  Intersection arms reach
+``ARM_LENGTH`` = 60 m from the center, and pedestrians wait at the kerb
+``PED_EDGE`` = 9 m either side of the road axis.  A scenario's monitored
+agents are its non-ego agents, read off the scene its builder makes.
 """
 
 from __future__ import annotations
@@ -20,11 +23,12 @@ import math
 import time
 from importlib import resources
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, ClassVar, Mapping, Sequence
 
 from .errors import ConfigError
 from .kinematics import Scene, SceneBuilder, run_scene
 from .monitor import (
+    DEFAULT_MAX_FRAMES,
     EGO,
     TERM_CLEARED,
     TERM_CRASH,
@@ -36,6 +40,11 @@ from .monitor import (
 from .space import Dimension, FeatureSpace, SampleVector
 
 TERMINATION_BY_CODE = {0: TERM_TIME_LIMIT, 1: TERM_CRASH, 2: TERM_CLEARED}
+
+# Road geometry (not sampled).
+HALF = 3.0  # lane-center offset from the road axis: lanes are 6 m wide
+ARM_LENGTH = 60.0
+PED_EDGE = 9.0  # pedestrian kerb: lane width plus 3 m
 
 # Shared behavior constants (not sampled).
 EGO_ACCEL = 3.0
@@ -60,19 +69,17 @@ class FeatureBinding:
     lo: float
     hi: float
     description: str = ""
-    integer: bool = False  # floor() applied before use (choice encodings)
 
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Selects a scenario and fixes its non-sampled constants."""
+    """Selects a scenario: its id and, for the intersection, how many
+    adversaries.  Every scenario steps at ``dt`` for ``max_frames``."""
 
     scenario_id: str
     adversaries: int = 1  # intersection only
-    lane_width: float = 6.0
-    arm_length: float = 60.0
-    max_frames: int = 300
-    dt: float = 0.1
+    dt: ClassVar[float] = 0.1
+    max_frames: ClassVar[int] = DEFAULT_MAX_FRAMES
 
     def __post_init__(self):
         if self.scenario_id not in REGISTRY:
@@ -90,14 +97,6 @@ class ScenarioConfig:
             raise ConfigError(
                 "adversary count is only configurable for the intersection scenario"
             )
-        if self.lane_width <= 0 or self.arm_length <= 0:
-            raise ConfigError("lane_width and arm_length must be positive")
-        if self.max_frames < 1 or self.dt <= 0:
-            raise ConfigError("max_frames must be >= 1 and dt positive")
-
-    @property
-    def half(self) -> float:
-        return self.lane_width / 2.0
 
 
 @dataclass(frozen=True)
@@ -105,8 +104,7 @@ class ScenarioDef:
     scenario_id: str
     summary: str
     in_catalog: bool
-    features: Callable[[ScenarioConfig], tuple[FeatureBinding, ...]]
-    monitored: Callable[[ScenarioConfig], tuple[str, ...]]
+    features: tuple[FeatureBinding, ...]
     builder: Callable[[ScenarioConfig, Mapping[str, float]], Scene]
 
 
@@ -114,95 +112,84 @@ class ScenarioDef:
 
 
 def _build_1(cfg: ScenarioConfig, v: Mapping[str, float]) -> Scene:
-    h = cfg.half
     b = SceneBuilder()
     ego = b.add_lane_agent(
-        EGO, (-v["ego_distance"], -h), speed=v["ego_speed"],
-        goal_x=cfg.arm_length, accel=EGO_ACCEL,
+        EGO, (-v["ego_distance"], -HALF), speed=v["ego_speed"],
+        goal_x=ARM_LENGTH, accel=EGO_ACCEL,
     )
     adv = b.add_waypoint_agent(
-        "adv0", (v["adv_distance"], h),
-        [(-h, h), (-h, -cfg.arm_length)], speed=v["adv_speed"],
+        "adv0", (v["adv_distance"], HALF),
+        [(-HALF, HALF), (-HALF, -ARM_LENGTH)], speed=v["adv_speed"],
     )
     b.brake_ahead(ego, adv, trigger=18.0, decel=HARD_DECEL, corridor=4.5)
     return b.build()
 
 
 def _build_2(cfg: ScenarioConfig, v: Mapping[str, float]) -> Scene:
-    h = cfg.half
     b = SceneBuilder()
     ego = b.add_waypoint_agent(
-        EGO, (-v["ego_distance"], -h),
-        [(h, -h), (h, cfg.arm_length)], speed=v["ego_speed"], accel=EGO_ACCEL,
+        EGO, (-v["ego_distance"], -HALF),
+        [(HALF, -HALF), (HALF, ARM_LENGTH)], speed=v["ego_speed"], accel=EGO_ACCEL,
     )
     adv = b.add_waypoint_agent(
-        "adv0", (v["adv_distance"], h),
-        [(-cfg.arm_length, h)], speed=v["adv_speed"],
+        "adv0", (v["adv_distance"], HALF),
+        [(-ARM_LENGTH, HALF)], speed=v["adv_speed"],
     )
     b.brake_ahead(ego, adv, trigger=18.0, decel=HARD_DECEL, corridor=4.5)
     return b.build()
 
 
 def _build_3(cfg: ScenarioConfig, v: Mapping[str, float]) -> Scene:
-    h = cfg.half
     b = SceneBuilder()
     ego = b.add_lane_agent(
-        EGO, (0.0, -h), speed=v["ego_speed"], goal_x=ROAD_END, accel=EGO_ACCEL
+        EGO, (0.0, -HALF), speed=v["ego_speed"], goal_x=ROAD_END, accel=EGO_ACCEL
     )
     lead = b.add_lane_agent(
-        "adv0", (v["gap"], -h), speed=v["lead_speed"], goal_x=ROAD_END
+        "adv0", (v["gap"], -HALF), speed=v["lead_speed"], goal_x=ROAD_END
     )
-    b.lane_change(ego, lead, trigger=10.0, to_y=h, clear_margin=v["clear_margin"])
+    b.lane_change(ego, lead, trigger=10.0, to_y=HALF, clear_margin=v["clear_margin"])
     return b.build()
 
 
 def _build_4(cfg: ScenarioConfig, v: Mapping[str, float]) -> Scene:
-    h = cfg.half
     b = SceneBuilder()
     ego = b.add_lane_agent(
-        EGO, (0.0, -h), speed=v["ego_speed"], goal_x=ROAD_END, accel=EGO_ACCEL
+        EGO, (0.0, -HALF), speed=v["ego_speed"], goal_x=ROAD_END, accel=EGO_ACCEL
     )
     adv = b.add_lane_agent(
-        "adv0", (-v["gap"], -h), speed=v["adv_speed"], goal_x=ROAD_END
+        "adv0", (-v["gap"], -HALF), speed=v["adv_speed"], goal_x=ROAD_END
     )
-    b.lane_change(adv, ego, trigger=10.0, to_y=h, clear_margin=v["clear_margin"])
+    b.lane_change(adv, ego, trigger=10.0, to_y=HALF, clear_margin=v["clear_margin"])
     return b.build()
 
 
 def _build_5(cfg: ScenarioConfig, v: Mapping[str, float]) -> Scene:
-    h = cfg.half
     b = SceneBuilder()
     ego = b.add_lane_agent(
-        EGO, (0.0, -h), speed=v["ego_speed"], goal_x=ROAD_END, accel=EGO_ACCEL
+        EGO, (0.0, -HALF), speed=v["ego_speed"], goal_x=ROAD_END, accel=EGO_ACCEL
     )
     lead = b.add_lane_agent(
-        "adv0", (v["lead_gap"], -h), speed=v["lead_speed"], goal_x=ROAD_END
+        "adv0", (v["lead_gap"], -HALF), speed=v["lead_speed"], goal_x=ROAD_END
     )
     blocker = b.add_lane_agent(
-        "adv1", (v["blocker_gap"], h), speed=2.0, goal_x=ROAD_END
+        "adv1", (v["blocker_gap"], HALF), speed=2.0, goal_x=ROAD_END
     )
-    b.lane_change(ego, lead, trigger=15.0, to_y=h, clear_margin=8.0)
+    b.lane_change(ego, lead, trigger=15.0, to_y=HALF, clear_margin=8.0)
     b.brake_near(ego, blocker, trigger=16.0, decel=BRAKE_DECEL)
     b.boost_on_lateral(
-        lead, ego, offset_threshold=1.0, boost_speed=v["boost_speed"], ref_y=-h
+        lead, ego, offset_threshold=1.0, boost_speed=v["boost_speed"], ref_y=-HALF
     )
     return b.build()
 
 
-def _ped_edge(cfg: ScenarioConfig) -> float:
-    return cfg.lane_width + 3.0
-
-
 def _build_6(cfg: ScenarioConfig, v: Mapping[str, float]) -> Scene:
-    h = cfg.half
-    edge = _ped_edge(cfg)
     b = SceneBuilder()
     ego = b.add_lane_agent(
-        EGO, (-v["approach"], -h), speed=v["ego_speed"], goal_x=ROAD_END,
+        EGO, (-v["approach"], -HALF), speed=v["ego_speed"], goal_x=ROAD_END,
         accel=EGO_ACCEL,
     )
     ped = b.add_waypoint_agent(
-        "ped", (0.0, -edge), [(0.0, edge)],
+        "ped", (0.0, -PED_EDGE), [(0.0, PED_EDGE)],
         speed=0.0, cruise=v["ped_speed"], accel=WALK_ACCEL,
     )
     b.wait_until_near(ped, ego, trigger=v["ped_trigger"])
@@ -211,17 +198,15 @@ def _build_6(cfg: ScenarioConfig, v: Mapping[str, float]) -> Scene:
 
 
 def _build_7(cfg: ScenarioConfig, v: Mapping[str, float]) -> Scene:
-    h = cfg.half
-    edge = _ped_edge(cfg)
     b = SceneBuilder()
     ego = b.add_lane_agent(
-        EGO, (-40.0, -h), speed=v["ego_speed"], goal_x=ROAD_END, accel=EGO_ACCEL
+        EGO, (-40.0, -HALF), speed=v["ego_speed"], goal_x=ROAD_END, accel=EGO_ACCEL
     )
     lead = b.add_lane_agent(
-        "adv0", (-40.0 + v["lead_gap"], -h), speed=v["lead_speed"], goal_x=ROAD_END
+        "adv0", (-40.0 + v["lead_gap"], -HALF), speed=v["lead_speed"], goal_x=ROAD_END
     )
     ped = b.add_waypoint_agent(
-        "ped", (0.0, -edge), [(0.0, edge)],
+        "ped", (0.0, -PED_EDGE), [(0.0, PED_EDGE)],
         speed=0.0, cruise=v["ped_speed"], accel=WALK_ACCEL,
     )
     b.wait_until_near(ped, ego, trigger=v["ped_trigger"])
@@ -231,22 +216,18 @@ def _build_7(cfg: ScenarioConfig, v: Mapping[str, float]) -> Scene:
     return b.build()
 
 
-def _adversary_waypoints(cfg: ScenarioConfig, arm: str, maneuver: str):
-    """Entry point plus waypoint chain for one intersection approach."""
-    h, arm_len = cfg.half, cfg.arm_length
-    table = {
-        ("north", "left"): ((-h,), [(-h, -h), (arm_len, -h)]),
-        ("north", "straight"): ((-h,), [(-h, -arm_len)]),
-        ("north", "right"): ((-h,), [(-h, h), (-arm_len, h)]),
-        ("east", "left"): ((h,), [(-h, h), (-h, -arm_len)]),
-        ("east", "straight"): ((h,), [(-arm_len, h)]),
-        ("east", "right"): ((h,), [(h, h), (h, arm_len)]),
-        ("south", "left"): ((h,), [(h, h), (-arm_len, h)]),
-        ("south", "straight"): ((h,), [(h, arm_len)]),
-        ("south", "right"): ((h,), [(h, -h), (arm_len, -h)]),
-    }
-    lane, waypoints = table[(arm, maneuver)]
-    return lane[0], waypoints
+# (arm, maneuver) -> (entry lane offset, waypoint chain) per approach.
+_APPROACHES = {
+    ("north", "left"): (-HALF, [(-HALF, -HALF), (ARM_LENGTH, -HALF)]),
+    ("north", "straight"): (-HALF, [(-HALF, -ARM_LENGTH)]),
+    ("north", "right"): (-HALF, [(-HALF, HALF), (-ARM_LENGTH, HALF)]),
+    ("east", "left"): (HALF, [(-HALF, HALF), (-HALF, -ARM_LENGTH)]),
+    ("east", "straight"): (HALF, [(-ARM_LENGTH, HALF)]),
+    ("east", "right"): (HALF, [(HALF, HALF), (HALF, ARM_LENGTH)]),
+    ("south", "left"): (HALF, [(HALF, HALF), (-ARM_LENGTH, HALF)]),
+    ("south", "straight"): (HALF, [(HALF, ARM_LENGTH)]),
+    ("south", "right"): (HALF, [(HALF, -HALF), (ARM_LENGTH, -HALF)]),
+}
 
 
 def _intersection_start(arm: str, lane: float, dist: float):
@@ -264,16 +245,15 @@ def maneuver_from_value(value: float) -> str:
 
 
 def _build_intersection(cfg: ScenarioConfig, v: Mapping[str, float]) -> Scene:
-    h = cfg.half
     b = SceneBuilder()
     ego = b.add_lane_agent(
-        EGO, (-INTERSECTION_EGO_START, -h), speed=INTERSECTION_EGO_SPEED,
-        goal_x=cfg.arm_length, accel=EGO_ACCEL,
+        EGO, (-INTERSECTION_EGO_START, -HALF), speed=INTERSECTION_EGO_SPEED,
+        goal_x=ARM_LENGTH, accel=EGO_ACCEL,
     )
     for i in range(cfg.adversaries):
         arm = ARM_CYCLE[i % len(ARM_CYCLE)]
         maneuver = maneuver_from_value(v[f"adv{i}_maneuver"])
-        lane, waypoints = _adversary_waypoints(cfg, arm, maneuver)
+        lane, waypoints = _APPROACHES[(arm, maneuver)]
         start = _intersection_start(arm, lane, v[f"adv{i}_distance"])
         adv = b.add_waypoint_agent(
             f"adv{i}", start, waypoints, speed=v[f"adv{i}_speed"]
@@ -317,29 +297,24 @@ def _build_two_region(cfg: ScenarioConfig, v: Mapping[str, float]) -> Scene:
 # --------------------------------------------------------------- registry
 
 
-def _static(*bindings: FeatureBinding):
-    return lambda cfg: bindings
-
-
-def _intersection_features(cfg: ScenarioConfig) -> tuple[FeatureBinding, ...]:
-    out = []
-    for i in range(cfg.adversaries):
-        out.extend(
-            [
-                FeatureBinding(
-                    f"adv{i}_distance", 15.0 + 10.0 * i, 40.0 + 10.0 * i,
-                    "start distance from the intersection center (m); "
-                    "staggered per adversary so arrivals spread out",
-                ),
-                FeatureBinding(f"adv{i}_speed", 3.0, 10.0, "cruise speed (m/s)"),
-                FeatureBinding(
-                    f"adv{i}_maneuver", 0.0, 3.0,
-                    "turn choice: [0,1) left, [1,2) straight, [2,3) right",
-                    integer=True,
-                ),
-            ]
-        )
-    return tuple(out)
+# Three features per intersection adversary, built for the most
+# adversaries; a config with m adversaries binds the first 3 * m.
+_INTERSECTION_FEATURES = tuple(
+    binding
+    for i in range(MAX_INTERSECTION_ADVERSARIES)
+    for binding in (
+        FeatureBinding(
+            f"adv{i}_distance", 15.0 + 10.0 * i, 40.0 + 10.0 * i,
+            "start distance from the intersection center (m); "
+            "staggered per adversary so arrivals spread out",
+        ),
+        FeatureBinding(f"adv{i}_speed", 3.0, 10.0, "cruise speed (m/s)"),
+        FeatureBinding(
+            f"adv{i}_maneuver", 0.0, 3.0,
+            "turn choice: [0,1) left, [1,2) straight, [2,3) right",
+        ),
+    )
+)
 
 
 REGISTRY: dict[str, ScenarioDef] = {}
@@ -355,13 +330,12 @@ _register(
         "Ego drives straight through a 4-way intersection, braking when an "
         "oncoming vehicle cuts across with a left turn.",
         True,
-        _static(
+        (
             FeatureBinding("ego_speed", 4.0, 12.0, "ego cruise speed (m/s)"),
             FeatureBinding("ego_distance", 15.0, 55.0, "ego start distance (m)"),
             FeatureBinding("adv_speed", 4.0, 12.0, "adversary cruise speed (m/s)"),
             FeatureBinding("adv_distance", 15.0, 55.0, "adversary start distance (m)"),
         ),
-        lambda cfg: ("adv0",),
         _build_1,
     )
 )
@@ -371,13 +345,12 @@ _register(
         "Ego turns left at a 4-way intersection, braking for an oncoming "
         "vehicle that drives straight through.",
         True,
-        _static(
+        (
             FeatureBinding("ego_speed", 4.0, 14.0, "ego cruise speed (m/s)"),
             FeatureBinding("ego_distance", 15.0, 55.0, "ego start distance (m)"),
             FeatureBinding("adv_speed", 4.0, 14.0, "adversary cruise speed (m/s)"),
             FeatureBinding("adv_distance", 15.0, 55.0, "adversary start distance (m)"),
         ),
-        lambda cfg: ("adv0",),
         _build_2,
     )
 )
@@ -387,13 +360,12 @@ _register(
         "Ego changes lanes to pass a slower leading vehicle and merges back "
         "once clear.",
         True,
-        _static(
+        (
             FeatureBinding("ego_speed", 8.0, 16.0, "ego cruise speed (m/s)"),
             FeatureBinding("lead_speed", 2.0, 7.0, "lead cruise speed (m/s)"),
             FeatureBinding("gap", 10.0, 40.0, "initial gap to the lead (m)"),
             FeatureBinding("clear_margin", 1.0, 10.0, "merge-back margin (m)"),
         ),
-        lambda cfg: ("adv0",),
         _build_3,
     )
 )
@@ -403,13 +375,12 @@ _register(
         "A faster trailing vehicle changes lanes to pass the ego and merges "
         "back in front of it.",
         True,
-        _static(
+        (
             FeatureBinding("ego_speed", 2.0, 8.0, "ego cruise speed (m/s)"),
             FeatureBinding("adv_speed", 8.0, 16.0, "trailing vehicle speed (m/s)"),
             FeatureBinding("gap", 10.0, 40.0, "initial gap behind the ego (m)"),
             FeatureBinding("clear_margin", 1.0, 10.0, "merge-back margin (m)"),
         ),
-        lambda cfg: ("adv0",),
         _build_4,
     )
 )
@@ -419,7 +390,7 @@ _register(
         "Ego starts passing a lead vehicle that speeds up to block the merge, "
         "forcing the ego to brake behind a slow vehicle in the passing lane.",
         True,
-        _static(
+        (
             FeatureBinding("ego_speed", 8.0, 14.0, "ego cruise speed (m/s)"),
             FeatureBinding("lead_speed", 3.0, 7.0, "lead initial speed (m/s)"),
             FeatureBinding("boost_speed", 8.0, 16.0, "lead speed once blocking (m/s)"),
@@ -428,7 +399,6 @@ _register(
                 "blocker_gap", 25.0, 60.0, "gap to the slow passing-lane vehicle (m)"
             ),
         ),
-        lambda cfg: ("adv0", "adv1"),
         _build_5,
     )
 )
@@ -438,7 +408,7 @@ _register(
         "A waiting pedestrian steps into the road as the ego approaches; the "
         "ego brakes to avoid them.",
         True,
-        _static(
+        (
             FeatureBinding("ego_speed", 5.0, 12.0, "ego cruise speed (m/s)"),
             FeatureBinding("approach", 20.0, 60.0, "ego start distance (m)"),
             FeatureBinding("ped_speed", 0.8, 2.5, "pedestrian walking speed (m/s)"),
@@ -446,7 +416,6 @@ _register(
                 "ped_trigger", 8.0, 45.0, "ego distance that starts the crossing (m)"
             ),
         ),
-        lambda cfg: ("ped",),
         _build_6,
     )
 )
@@ -456,7 +425,7 @@ _register(
         "A pedestrian crosses in front of a two-vehicle platoon; the lead "
         "vehicle and the ego must both brake.",
         True,
-        _static(
+        (
             FeatureBinding("ego_speed", 5.0, 13.0, "ego cruise speed (m/s)"),
             FeatureBinding("lead_gap", 8.0, 24.0, "gap to the lead vehicle (m)"),
             FeatureBinding("lead_speed", 5.0, 13.0, "lead cruise speed (m/s)"),
@@ -465,7 +434,6 @@ _register(
             ),
             FeatureBinding("ped_speed", 0.8, 2.5, "pedestrian walking speed (m/s)"),
         ),
-        lambda cfg: ("adv0", "ped"),
         _build_7,
     )
 )
@@ -476,8 +444,7 @@ _register(
         "approach from cycling arms, each with a sampled distance, speed, and "
         "turn choice.",
         True,
-        _intersection_features,
-        lambda cfg: tuple(f"adv{i}" for i in range(cfg.adversaries)),
+        _INTERSECTION_FEATURES,
         _build_intersection,
     )
 )
@@ -487,11 +454,10 @@ _register(
         "Synthetic probe landscape: unsafe iff u lies in [0.3, 0.4), i.e. "
         "exactly one bucket of the first dimension at N=10.",
         False,
-        _static(
+        (
             FeatureBinding("u", 0.0, 1.0, "probe coordinate with the unsafe band"),
             FeatureBinding("w", 0.0, 1.0, "inert probe coordinate"),
         ),
-        lambda cfg: ("probe",),
         _build_band,
     )
 )
@@ -501,11 +467,10 @@ _register(
         "Synthetic probe landscape with two separated unsafe squares, "
         "[0.1,0.3)^2 and [0.6,0.8)^2.",
         False,
-        _static(
+        (
             FeatureBinding("u", 0.0, 1.0, "probe coordinate 1"),
             FeatureBinding("w", 0.0, 1.0, "probe coordinate 2"),
         ),
-        lambda cfg: ("probe",),
         _build_two_region,
     )
 )
@@ -531,7 +496,7 @@ def list_scenarios() -> list[dict]:
             {
                 "id": sid,
                 "description": d.summary,
-                "agents": (EGO,) + d.monitored(cfg),
+                "agents": (EGO,) + monitored_agents(cfg),
                 "features": [
                     {
                         "name": f.name,
@@ -539,7 +504,7 @@ def list_scenarios() -> list[dict]:
                         "hi": f.hi,
                         "description": f.description,
                     }
-                    for f in d.features(cfg)
+                    for f in feature_bindings(cfg)
                 ],
             }
         )
@@ -547,20 +512,24 @@ def list_scenarios() -> list[dict]:
 
 
 def feature_bindings(cfg: ScenarioConfig) -> tuple[FeatureBinding, ...]:
-    return REGISTRY[cfg.scenario_id].features(cfg)
+    features = REGISTRY[cfg.scenario_id].features
+    if cfg.scenario_id == "intersection":
+        return features[: 3 * cfg.adversaries]
+    return features
 
 
 def monitored_agents(cfg: ScenarioConfig) -> tuple[str, ...]:
-    return REGISTRY[cfg.scenario_id].monitored(cfg)
+    """Every non-ego agent; builders add the same agents whatever the values."""
+    lows = [f.lo for f in feature_bindings(cfg)]
+    return build_scene(cfg, lows).agents[1:]
 
 
-def default_feature_space(cfg: ScenarioConfig, bucket_count: int = 10) -> FeatureSpace:
-    dims = [Dimension(f.name, f.lo, f.hi) for f in feature_bindings(cfg)]
-    return FeatureSpace(dims, bucket_count=bucket_count)
+def default_feature_space(cfg: ScenarioConfig) -> FeatureSpace:
+    return FeatureSpace([Dimension(f.name, f.lo, f.hi) for f in feature_bindings(cfg)])
 
 
-def default_specification(cfg: ScenarioConfig, threshold: float = 5.0) -> Specification:
-    return Specification([MinSeparation(a, threshold) for a in monitored_agents(cfg)])
+def default_specification(cfg: ScenarioConfig) -> Specification:
+    return Specification([MinSeparation(a) for a in monitored_agents(cfg)])
 
 
 def bind_values(cfg: ScenarioConfig, values: Sequence[float]) -> dict[str, float]:

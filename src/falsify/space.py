@@ -15,6 +15,8 @@ import numpy as np
 
 from .errors import DomainError
 
+DEFAULT_BUCKET_COUNT = 10
+
 
 @dataclass(frozen=True)
 class Dimension:
@@ -57,7 +59,9 @@ class FeatureSpace:
     never shared implicitly.
     """
 
-    def __init__(self, dims: Iterable[Dimension], bucket_count: int = 10):
+    def __init__(
+        self, dims: Iterable[Dimension], bucket_count: int = DEFAULT_BUCKET_COUNT
+    ):
         dims = tuple(dims)
         if not dims:
             raise DomainError("feature space needs at least one dimension")

@@ -360,12 +360,22 @@ def test_artifacts_roundtrip(tmp_path):
 
     rebuilt = ca.read_result(tmp_path)
     assert rebuilt.config.describe() == result.config.describe()
+    assert rebuilt.config.scenario == result.config.scenario
     assert rebuilt.config.spec.names == result.config.spec.names
     assert rebuilt.records == result.records
     assert rebuilt.maximal == result.maximal
     assert rebuilt.snapshot == result.snapshot
     assert rebuilt.wall_seconds == result.wall_seconds
     assert (rebuilt.dispatched, rebuilt.failed) == (15, 0)
+
+
+def test_describe_carries_every_scenario_setting():
+    # A ScenarioConfig field that describe() drops would be lost when a run
+    # is saved, and report/compare would analyse a different scenario.
+    scenario = make_config("intersection", adversaries=3).describe()["scenario"]
+    names = {f.name for f in dataclasses.fields(sc.ScenarioConfig)}
+    assert {"id" if n == "scenario_id" else n for n in names} == set(scenario)
+    assert scenario == {"id": "intersection", "adversaries": 3}
 
 
 def test_jsonl_field_names_are_fixed(tmp_path):

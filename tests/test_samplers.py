@@ -111,16 +111,6 @@ def test_mab_requires_rulebook():
         sa.make_sampler("mab", unit_space(), seed=0)
 
 
-def test_uninitialized_sampler_is_a_state_error():
-    sampler = sa.UniformSampler(seed=1)
-    with pytest.raises(StateError, match="not initialized"):
-        sampler.next_sample()
-    with pytest.raises(StateError, match="not initialized"):
-        sampler.update(
-            sa.SampleFeedback.from_rho(unit_space(1).make_sample([0.1]), (1.0,))
-        )
-
-
 @pytest.mark.parametrize("name", sa.SAMPLER_NAMES)
 def test_member_reoffer_skips_insert_maximal(name, monkeypatch):
     calls = []
@@ -154,7 +144,7 @@ def test_sampler_without_rulebook_draws_until_a_counterexample(name):
 
 def test_alpha_validated():
     with pytest.raises(ConfigError, match="alpha"):
-        sa.CrossEntropySampler(seed=0, alpha=0.0)
+        sa.CrossEntropySampler(unit_space(), seed=0, alpha=0.0)
     with pytest.raises(ConfigError, match="alpha"):
         sa.make_sampler("cross-entropy", unit_space(), seed=0, alpha=1.5)
 

@@ -1,7 +1,9 @@
 """Scenario catalog tests: construction, fixtures, determinism, the timing
 contract of the delayed simulator, and a closed-form safe case."""
 
+import importlib.util
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -81,6 +83,40 @@ def test_adversary_count_validation():
     assert len(sc.monitored_agents(cfg)) == 5
 
 
+MONITORED = [
+    ("1", 1, ("adv0",)),
+    ("2", 1, ("adv0",)),
+    ("3", 1, ("adv0",)),
+    ("4", 1, ("adv0",)),
+    ("5", 1, ("adv0", "adv1")),
+    ("6", 1, ("ped",)),
+    ("7", 1, ("adv0", "ped")),
+    ("intersection", 1, ("adv0",)),
+    ("intersection", 8, tuple(f"adv{i}" for i in range(8))),
+    ("band", 1, ("probe",)),
+    ("two_region", 1, ("probe",)),
+]
+
+
+def test_monitored_pins_cover_every_scenario():
+    assert {sid for sid, _, _ in MONITORED} == set(ALL_IDS)
+
+
+@pytest.mark.parametrize("sid, adversaries, agents", MONITORED)
+def test_monitored_agents_are_pinned(sid, adversaries, agents):
+    cfg = sc.ScenarioConfig(sid, adversaries=adversaries)
+    assert sc.monitored_agents(cfg) == agents
+
+
+@pytest.mark.parametrize("sid", ALL_IDS)
+def test_builder_agents_do_not_depend_on_values(sid):
+    cfg = sc.ScenarioConfig(sid)
+    lows = [f.lo for f in sc.feature_bindings(cfg)]
+    points = (lows, mid_values(cfg), sc.known_unsafe_values(cfg))
+    agents = {sc.build_scene(cfg, values).agents for values in points}
+    assert agents == {(mo.EGO,) + sc.monitored_agents(cfg)}
+
+
 def test_bind_values_length_mismatch():
     cfg = sc.ScenarioConfig("1")
     with pytest.raises(ConfigError, match="needs 4 feature values"):
@@ -117,6 +153,18 @@ def test_known_unsafe_fixture_falsifies(sid):
     # Stored robustness was measured by the same pipeline; it must agree.
     stored = sc.load_known_unsafe(sid)["rho"]
     assert np.allclose(rho, stored, rtol=0, atol=1e-12)
+
+
+def test_refresh_fixtures_search_finds_the_band(monkeypatch):
+    path = Path(__file__).resolve().parents[1] / "scripts" / "refresh_fixtures.py"
+    spec = importlib.util.spec_from_file_location("refresh_fixtures", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    monkeypatch.setattr(script, "GRID_BUDGET", 16)
+    entry = script.search(sc.ScenarioConfig("band"))
+    assert entry["grid_points_per_dim"] == 4
+    assert min(entry["rho"]) < 0
+    assert sc.band_unsafe(entry["values"]["u"])
 
 
 def test_fixture_lookup_errors():
