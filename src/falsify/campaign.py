@@ -21,8 +21,8 @@ Sample ids are assigned at dispatch and are dense over dispatched
 samples.  The failure policy is the same for every W.  A simulation or
 evaluation that raises a package error (``FalsifyError``) is a package
 or config fault that would repeat on every sample, so it aborts the
-campaign, as does any package error on the coordinator and a worker
-process that dies: in-flight samples are absorbed and the partial
+campaign, as do any package error on the coordinator, a worker process
+that dies and a Ctrl-C: in-flight samples are absorbed and the partial
 result is attached to the raised CampaignError.  A worker sends back
 the error's type name and message, not the error itself, which may not
 survive pickling.  Any other exception marks its sample failed: the id
@@ -49,7 +49,7 @@ from .samplers import DEFAULT_ALPHA, SAMPLER_NAMES, make_sampler
 from .scenarios import (
     ScenarioConfig,
     feature_bindings,
-    simulate,
+    simulate_minima,
     simulate_with_delay,
 )
 from .space import FeatureSpace, SampleVector
@@ -253,9 +253,12 @@ class CampaignError(FalsifyError):
 
 
 def default_simulator(config: CampaignConfig, sample: SampleVector):
+    """Each agent's minimum separation for one sample, with no trajectory."""
     if config.delay > 0:
-        return simulate_with_delay(config.scenario, sample, config.delay)
-    return simulate(config.scenario, sample)
+        return simulate_with_delay(
+            config.scenario, sample, config.delay, simulator=simulate_minima
+        )
+    return simulate_minima(config.scenario, sample)
 
 
 class _Runner:
@@ -509,7 +512,9 @@ def run_campaign(config: CampaignConfig, simulate_fn=None) -> CampaignResult:
     more than a fast simulation.  At W>1 the default simulator runs in
     forked processes and a caller's ``simulate_fn`` on threads (see the
     module docstring); forking needs the ``fork`` start method, and
-    without it the default simulator runs on threads too.
+    without it the default simulator runs on threads too.  A Ctrl-C
+    (``KeyboardInterrupt``) aborts like a package error: the samples in
+    flight are absorbed and the CampaignError carries the partial result.
     """
     runner = _Runner(config, simulate_fn)
     pool = _Pool(runner)
@@ -519,12 +524,18 @@ def run_campaign(config: CampaignConfig, simulate_fn=None) -> CampaignResult:
                 task = runner.dispatch()
                 runner.handle(task, 0, runner.run(task[2]))
         else:
+            if simulate_fn is None:
+                # One run here compiles the scenario's kernel, which the
+                # forked workers then inherit instead of each compiling it
+                # on its first sample.
+                simulate_minima(config.scenario, [d.lo for d in config.space.dims])
             pool.start(config.workers, forked=simulate_fn is None)
             pool.pipeline()
-    except FalsifyError as exc:
+    except (FalsifyError, KeyboardInterrupt) as exc:
         pool.drain()
+        reason = "interrupted" if isinstance(exc, KeyboardInterrupt) else exc
         raise CampaignError(
-            f"campaign aborted after {len(runner.records)} samples: {exc}",
+            f"campaign aborted after {len(runner.records)} samples: {reason}",
             runner.result(),
         ) from exc
     finally:

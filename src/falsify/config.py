@@ -101,6 +101,14 @@ def _parse_feature_space(doc, scenario: ScenarioConfig) -> FeatureSpace:
             dims.append(
                 Dimension(str(entry["name"]), float(entry["lo"]), float(entry["hi"]))
             )
+        # Values bind to features by position, so the names must line up.
+        names = [d.name for d in dims]
+        features = [f.name for f in feature_bindings(scenario)]
+        if names != features:
+            raise ConfigError(
+                f"feature_space.dimensions are named {names}, but scenario "
+                f"{scenario.scenario_id!r} binds the features {features}, in that order"
+            )
     return FeatureSpace(dims, bucket_count=buckets)
 
 

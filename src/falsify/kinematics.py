@@ -21,6 +21,16 @@ source must be made to the other.  In tests/test_kinematics.py the
 trajectories from the generated kernels (and the numba tests from the
 compiled one where numba imports).
 
+``run_scene`` has two outputs, picked by its ``minima`` flag.  By
+default it records every frame: positions, headings, speeds and the
+termination code, which ``scenarios.simulate`` wraps in a Trajectory.
+With ``minima`` it records nothing: the generated kernel keeps, for each
+agent, only the legs from the ego near that agent's running minimum
+separation, and ``min_separations`` reduces them to each agent's minimum,
+bit for bit the trajectory's.  That is what a campaign's simulator runs.
+The numba backend records as usual and reduces every frame's legs with
+the same helper.
+
 Agents come in two steering modes.  Waypoint agents head straight for
 their next waypoint and advance through the list on capture.  Lane
 agents travel in +x and steer toward a desired lateral offset with a
@@ -29,6 +39,7 @@ proportional heading law, which is what the lane-change rule perturbs.
 
 from __future__ import annotations
 
+import itertools
 import linecache
 import logging
 import math
@@ -260,14 +271,77 @@ def _structure(scene):
     return tuple(int(m) for m in scene.mode), tuple(rules)
 
 
-def _kernel_source(modes, rules) -> str:
+# What a minima kernel keeps: legs whose q is within TIE of the running
+# minimum; a q below TINY (or NaN) keeps every later frame.
+TIE = 1.0 + 2.0 ** -48
+TINY = 2.0 ** -900
+
+
+def _track(emit, depth, a, crash=True):
+    """Emit agent a's step of the minima kernel for one frame.
+
+    The step keeps the agent's legs from the ego, ``dx{a}, dy{a}``, if they
+    are near its running minimum (see ``_kernel_source``).  With ``crash``, a
+    kept frame also runs the crash test, which sets ``term``.
+    """
+    dx, dy, c, qm, qb = f"dx{a}", f"dy{a}", f"lg{a}", f"qm{a}", f"qb{a}"
+    emit(depth, f"q = {dx} * {dx} + {dy} * {dy}", f"if not q > {qb}:")
+    emit(depth + 1, "if not q >= tiny:")
+    emit(depth + 2, f"{c} += {dx}, {dy}", f"{qm}, {qb} = -inf, inf")
+    emit(depth + 1, f"elif (b := q * tie) < {qm}:")
+    emit(depth + 2, f"{c} = [{dx}, {dy}]", f"{qm}, {qb} = q, b")
+    emit(depth + 1, "else:")
+    emit(depth + 2, f"{c} += {dx}, {dy}", f"if q < {qm}:")
+    emit(depth + 3, f"{qm}, {qb} = q, b")
+    if crash:
+        emit(depth + 1, f"if ncrash < {dx} < crash_dist and ncrash < {dy} < crash_dist"
+                        f" and hypot({dx}, {dy}) < crash_dist:")
+        emit(depth + 2, f"term = {CODE_CRASH}")
+
+
+def _kernel_source(modes, rules, minima=False) -> str:
     """``_integrate_impl`` unrolled for one structure, as Python source.
 
     Agent state lives in locals (``x0, y0, h0, v0, ...``) and each rule is
     inlined with its type resolved; the floats stay arguments.  Every float
     goes through the same operations in the same order as in
-    ``_integrate_impl``.  Two shortcuts skip ``math`` calls whose outcome
-    is already known, so the trajectories stay bit-identical:
+    ``_integrate_impl``.
+
+    The flag picks what the kernel returns.  Without ``minima`` it records
+    every frame's positions, headings and speeds, flat, as ``(pos, heading,
+    speed, term)``.  With it, it keeps, for each non-ego agent, only the
+    frames near the agent's smallest separation from the ego, and returns
+    ``(legs, counts, term)``: ``legs`` holds each kept frame's
+    ``x0 - xa, y0 - ya`` flat, agent by agent, and ``counts[a]`` how many
+    frames agent a kept (agent 0 keeps its own last-frame leg).  Applying
+    ``np.hypot`` to those legs and taking each agent's minimum gives the
+    minimum of ``Trajectory.ego_separations`` bit for bit:
+
+    - q = dx*dx + dy*dy is within a factor (1 +- u)**2 of the exact
+      s = dx**2 + dy**2 (u = 2**-53) while q >= TINY = 2**-900, so no
+      square can underflow enough to matter; a hypot within 3 ulps of
+      sqrt(s), as ``np.hypot`` and ``math.hypot`` are, is within a factor
+      1 +- 6u.  So if q' > fl(TIE * q), with TIE = 1 + 2**-48, the frame
+      of q' has a hypot no smaller than that of q: the reverse would need
+      q'/q < ((1 + 6u)(1 + u) / ((1 - 6u)(1 - u)))**2 < 1 + 29u, while
+      fl(TIE * q) / q >= (1 + 32u)(1 - u) > 1 + 30u.
+    - The kernel skips a frame with q > fl(TIE * qm), where qm is the
+      running minimum, replaces the kept legs with one whose fl(TIE * q)
+      is below qm (so below every kept q), and appends any other.  So every
+      frame left out has a hypot no smaller than one kept at the time,
+      and, by induction, than one kept at the end: the minimum survives.
+    - A q that is NaN or below TINY makes the agent keep every later
+      frame, and nothing is dropped after it.  A frame whose hypot is NaN
+      has a NaN q, so NaN propagates as ``ndarray.min()`` propagates it.
+    - The crash test runs only on kept frames.  A skipped frame's hypot is
+      no smaller than that of an earlier frame, which did not crash.
+    - Agent 0's own leg ``x0 - x0`` is 0.0 while x0 is finite and NaN
+      once it is not.  A position only ever has a step added to it, so a
+      non-finite coordinate stays non-finite, and the last frame's leg
+      gives the minimum over all frames.
+
+    Two shortcuts skip ``math`` calls whose outcome is already known, so
+    the trajectories stay bit-identical:
 
     - Each agent keeps ``cos`` and ``sin`` of its heading (``co0, sn0``)
       and recomputes them only when the heading no longer compares equal
@@ -327,11 +401,26 @@ def _kernel_source(modes, rules) -> str:
                 emit(1, f"nf{a}_{j} = -f{a}_{j}_0")
             if rt not in _BRAKES:
                 emit(1, f"s{a}_{j} = 0.0")
-    emit(1, "rec_pos, rec_heading, rec_speed = [], [], []", f"term = {CODE_TIME_LIMIT}",
-         "last = max_frames - 1", "for k in range(max_frames):")
-    emit(2, f"rec_pos.extend(({row('x{a}, y{a}')}))",
-         f"rec_heading.extend(({row('h{a}')}))", f"rec_speed.extend(({row('v{a}')}))",
-         "# Goal bookkeeping on the recorded state.")
+    if minima:
+        emit(1, "inf = math.inf", f"tie, tiny = {TIE!r}, {TINY!r}")
+        for a in agents[1:]:
+            emit(1, f"qm{a} = qb{a} = inf", f"lg{a} = []")
+    else:
+        emit(1, "rec_pos, rec_heading, rec_speed = [], [], []")
+    emit(1, f"term = {CODE_TIME_LIMIT}", "last = max_frames - 1",
+         "for k in range(max_frames):")
+    if minima:
+        for a in agents[1:]:
+            emit(2, f"dx{a} = x0 - x{a}", f"dy{a} = y0 - y{a}")
+            _track(emit, 2, a)
+        if len(agents) > 1:
+            emit(2, "if term:")
+            emit(3, "break")
+    else:
+        emit(2, f"rec_pos.extend(({row('x{a}, y{a}')}))",
+             f"rec_heading.extend(({row('h{a}')}))",
+             f"rec_speed.extend(({row('v{a}')}))")
+    emit(2, "# Goal bookkeeping on the frame-k state.")
     for a in agents:
         if modes[a] == MODE_WAYPOINT:
             capture = near(f"wx{a} - x{a}", f"wy{a} - y{a}", "capture_radius", "ncap")
@@ -341,9 +430,10 @@ def _kernel_source(modes, rules) -> str:
         else:
             emit(2, f"if x{a} >= gx{a}:")
             emit(3, f"done{a} = True")
-    for a in agents[1:]:
-        emit(2, f"if {near(f'x{a} - x0', f'y{a} - y0', 'crash_dist', 'ncrash')}:")
-        emit(3, f"term = {CODE_CRASH}", "break")
+    if not minima:  # the minima kernel ran its crash tests with its legs
+        for a in agents[1:]:
+            emit(2, f"if {near(f'x{a} - x0', f'y{a} - y0', 'crash_dist', 'ncrash')}:")
+            emit(3, f"term = {CODE_CRASH}", "break")
     emit(2, "if " + " and ".join(
         f"i{a} >= n{a}" if modes[a] == MODE_WAYPOINT else f"done{a}" for a in agents
     ) + ":")
@@ -409,24 +499,33 @@ def _kernel_source(modes, rules) -> str:
              f"{new}y{a} = y{a} + v{a} * sn{a} * dt")
     if deferred:
         emit(2, f"{row('x{a}, y{a}', deferred)} = {row('nx{a}, ny{a}', deferred)}")
-    emit(1, "return rec_pos, rec_heading, rec_speed, term")
+    if minima:
+        kept = "".join(f", *lg{a}" for a in agents[1:])
+        counts = "".join(f", len(lg{a}) // 2" for a in agents[1:])
+        emit(1, f"return [x0 - x0, y0 - y0{kept}], (1{counts},), term")
+    else:
+        emit(1, "return rec_pos, rec_heading, rec_speed, term")
     return "\n".join(lines) + "\n"
 
 
-def _compiled(structure):
+def _compiled(structure, minima=False):
     """The kernel for a structure, generated and compiled on first use.
 
     Its source is registered in ``linecache`` under a file name that spells
     the structure, so tracebacks, profiles and ``inspect`` show its lines.
     """
+    key = (structure, minima)
     with _kernels_lock:
-        if structure not in _kernels:
+        if key not in _kernels:
             modes, rules = structure
-            source = _kernel_source(modes, rules)
-            filename = "<falsify.kinematics kernel: %s>" % "; ".join(
-                " ".join(["waypoint" if m == MODE_WAYPOINT else "lane"]
-                         + [f"{_RULE_NAMES[rt]}->{b}" for rt, b in rules[a]])
-                for a, m in enumerate(modes)
+            source = _kernel_source(modes, rules, minima)
+            filename = "<falsify.kinematics %s: %s>" % (
+                "minima kernel" if minima else "kernel",
+                "; ".join(
+                    " ".join(["waypoint" if m == MODE_WAYPOINT else "lane"]
+                             + [f"{_RULE_NAMES[rt]}->{b}" for rt, b in rules[a]])
+                    for a, m in enumerate(modes)
+                ),
             )
             namespace = {"math": math}
             exec(compile(source, filename, "exec"), namespace)
@@ -435,8 +534,8 @@ def _compiled(structure):
                 linecache.cache.pop(evicted.__code__.co_filename, None)
             lines = source.splitlines(True)
             linecache.cache[filename] = (len(source), None, lines, filename)
-            _kernels[structure] = namespace["kernel"]
-        return _kernels[structure]
+            _kernels[key] = namespace["kernel"]
+        return _kernels[key]
 
 
 def numba_requested() -> bool:
@@ -618,11 +717,16 @@ def run_scene(
     dt: float = 0.1,
     max_frames: int = 300,
     backend: str | None = None,
+    minima: bool = False,
 ):
     """Integrate a scene; returns (positions, headings, speeds, termination code).
 
-    Output arrays hold the recorded frames only.  ``backend`` forces
-    "python" or "numba"; default follows the environment flag.
+    Output arrays hold the recorded frames only.  With ``minima`` nothing
+    is recorded, and the result is ``(legs, counts, code)``: the
+    legs the minima kernel keeps, an (n, 2) array agent by agent, and how
+    many each agent kept (see ``_kernel_source``).  ``min_separations``
+    reduces them.  ``backend`` forces "python" or "numba"; default follows
+    the environment flag.
     """
     if not dt > 0:
         raise DomainError(f"dt must be positive, got {dt}")
@@ -634,11 +738,30 @@ def run_scene(
     elif backend not in fns:
         raise DomainError(f"backend {backend!r} unavailable; have {sorted(fns)}")
     if backend == "numba":
-        return _run_arrays(integrate_numba, scene, float(dt), int(max_frames))
-    return integrate_python(scene, float(dt), int(max_frames))
+        out = _run_arrays(integrate_numba, scene, float(dt), int(max_frames))
+        return _recorded_legs(out) if minima else out
+    return integrate_python(scene, float(dt), int(max_frames), minima)
 
 
-def integrate_python(scene: Scene, dt: float, max_frames: int):
+def _recorded_legs(recorded):
+    """``run_scene(minima=True)``'s result from a recorded run: every frame's legs."""
+    pos, _, _, code = recorded
+    frames, n, _ = pos.shape
+    legs = (pos[:, :1] - pos).transpose(1, 0, 2).reshape(-1, 2)
+    return legs, (frames,) * n, code
+
+
+def min_separations(legs: np.ndarray, counts) -> np.ndarray:
+    """Each agent's smallest ``np.hypot`` over its legs, as ``run_scene`` keeps them.
+
+    ``counts[a]`` consecutive rows of ``legs`` belong to agent a; every
+    count is at least 1.  NaN propagates as it does through ``ndarray.min``.
+    """
+    seps = np.hypot(legs[:, 0], legs[:, 1])
+    return np.minimum.reduceat(seps, [0, *itertools.accumulate(counts[:-1])])
+
+
+def integrate_python(scene: Scene, dt: float, max_frames: int, minima: bool = False):
     """The interpreted backend: run the scene's generated kernel.
 
     The kernel for the scene's structure (``_structure``) is straight-line
@@ -646,24 +769,29 @@ def integrate_python(scene: Scene, dt: float, max_frames: int):
     are and records each trajectory flat, frame after frame; here they are
     shaped into the same values ``_run_arrays`` returns, bit for bit.  Each
     list is packed into bytes and viewed as float64 in one copy, so the
-    arrays are read-only.
+    arrays are read-only.  With ``minima`` the kernel keeps legs instead,
+    which are packed the same way.
     """
-    pos, heading, speed, code = _compiled(_structure(scene))(
+    out = _compiled(_structure(scene), minima)(
         scene.pos, scene.heading, scene.speed, scene.cruise, scene.accel,
         scene.waypoints, scene.goal_x, scene.lane_y, scene.rules, dt, max_frames,
         CRASH_DISTANCE, CAPTURE_RADIUS, LATERAL_GAIN,
     )
+    if minima:
+        flat, counts, code = out
+        return _packed(flat).reshape(-1, 2), counts, code
+    pos, heading, speed, code = out
     frames = len(speed) // len(scene.agents)
-    pos, heading, speed = (
-        np.frombuffer(struct.pack(f"{len(flat)}d", *flat), dtype=np.float64)
-        for flat in (pos, heading, speed)
-    )
     return (
-        pos.reshape(frames, -1, 2),
-        heading.reshape(frames, -1),
-        speed.reshape(frames, -1),
+        _packed(pos).reshape(frames, -1, 2),
+        _packed(heading).reshape(frames, -1),
+        _packed(speed).reshape(frames, -1),
         code,
     )
+
+
+def _packed(flat: list) -> np.ndarray:
+    return np.frombuffer(struct.pack(f"{len(flat)}d", *flat), dtype=np.float64)
 
 
 def _run_arrays(fn, scene: Scene, dt: float, max_frames: int):

@@ -1,9 +1,14 @@
-"""Trajectory container and metric monitors.
+"""Simulation results and metric monitors.
 
-A trajectory is a dense array record of a finished simulation: one row
-per frame per agent.  Monitors reduce a trajectory to a robustness value
-per metric; negative robustness means the requirement was violated
-somewhere along the run.
+Every metric reads one number per agent: its smallest separation from
+the ego over the run, ``min_separation(agent)``.  Two results provide it.
+A ``Trajectory`` is a dense array record of a finished simulation, one row
+per frame per agent; ``scenarios.simulate`` returns one.  A campaign does
+not store a trajectory: ``scenarios.simulate_minima`` runs the kernel
+with recording off, and its ``SeparationMinima`` holds only the minima,
+bit for bit those of the trajectory.  Monitors reduce either to a
+robustness value per metric; negative robustness means the requirement
+was violated somewhere along the run.
 """
 
 from __future__ import annotations
@@ -85,12 +90,7 @@ class Trajectory:
         return (self.frame_count - 1) * self.dt
 
     def agent_index(self, name: str) -> int:
-        try:
-            return self.agents.index(name)
-        except ValueError:
-            raise SpecError(
-                f"unknown agent {name!r}; trajectory has {list(self.agents)}"
-            ) from None
+        return _agent_index(self.agents, name)
 
     def separations(self, a: str, b: str) -> np.ndarray:
         """Center-to-center distance between two agents, per frame."""
@@ -113,11 +113,61 @@ class Trajectory:
         sep.setflags(write=False)
         return sep
 
+    def min_separation(self, agent: str) -> float:
+        """The smallest of ``separations(EGO, agent)`` over the run."""
+        return float(self.ego_separations[:, self.agent_index(agent)].min())
 
-def _clearance(traj: Trajectory, agent: str, threshold: float) -> float:
-    """The ego's worst margin over the threshold from one agent in the run."""
-    column = traj.ego_separations[:, traj.agent_index(agent)]
-    return float((column - threshold).min())
+
+class SeparationMinima:
+    """Each agent's smallest separation from the ego over one run.
+
+    What a campaign keeps of a simulation: ``minima[a]`` is bit for bit
+    ``Trajectory.min_separation(agents[a])`` of the same run, and agent 0
+    is the ego.
+    """
+
+    def __init__(self, agents: Sequence[str], minima: Sequence[float], termination: str):
+        self.agents = tuple(agents)
+        self.minima = tuple(float(m) for m in minima)
+        if not self.agents or self.agents[0] != EGO:
+            raise DomainError(f"agent 0 must be the {EGO!r} agent, got {self.agents}")
+        if len(self.minima) != len(self.agents):
+            raise DomainError(
+                f"{len(self.minima)} minima for {len(self.agents)} agents"
+            )
+        if termination not in TERMINATIONS:
+            raise DomainError(
+                f"termination must be one of {TERMINATIONS}, got {termination!r}"
+            )
+        self.termination = termination
+
+    def agent_index(self, name: str) -> int:
+        return _agent_index(self.agents, name)
+
+    def min_separation(self, agent: str) -> float:
+        return self.minima[self.agent_index(agent)]
+
+
+def _agent_index(agents: tuple[str, ...], name: str) -> int:
+    try:
+        return agents.index(name)
+    except ValueError:
+        raise SpecError(
+            f"unknown agent {name!r}; the run has {list(agents)}"
+        ) from None
+
+
+Run = Trajectory | SeparationMinima
+
+
+def _clearance(run: Run, agent: str, threshold: float) -> float:
+    """The ego's worst margin over the threshold from one agent in the run.
+
+    Rounded subtraction is monotone, so this is the minimum over frames of
+    the separation minus the threshold, as it was computed before, and a
+    NaN separation gives NaN.
+    """
+    return run.min_separation(agent) - threshold
 
 
 @dataclass(frozen=True)
@@ -138,8 +188,8 @@ class MinSeparation:
     def name(self) -> str:
         return f"min_separation[{self.agent}]"
 
-    def robustness(self, traj: Trajectory) -> float:
-        return _clearance(traj, self.agent, self.threshold)
+    def robustness(self, run: Run) -> float:
+        return _clearance(run, self.agent, self.threshold)
 
     def to_config(self) -> dict:
         """This metric as a spec entry that spec_from_config reads back."""
@@ -170,8 +220,8 @@ class JointSeparation:
     def name(self) -> str:
         return f"joint_separation[{','.join(self.agents)}]"
 
-    def robustness(self, traj: Trajectory) -> float:
-        return max(_clearance(traj, agent, self.threshold) for agent in self.agents)
+    def robustness(self, run: Run) -> float:
+        return max(_clearance(run, agent, self.threshold) for agent in self.agents)
 
     def to_config(self) -> dict:
         """This metric as a spec entry that spec_from_config reads back."""
@@ -201,9 +251,9 @@ class Specification:
         return f"Specification({list(self.names)})"
 
 
-def evaluate(spec: Specification, traj: Trajectory) -> np.ndarray:
+def evaluate(spec: Specification, run: Run) -> np.ndarray:
     """Robustness vector rho, one entry per metric, in spec order."""
-    return np.array([m.robustness(traj) for m in spec.metrics])
+    return np.array([m.robustness(run) for m in spec.metrics])
 
 
 def falsification_vector(rho: Sequence[float]) -> tuple[bool, ...]:

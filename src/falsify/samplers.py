@@ -302,22 +302,23 @@ class MultiArmedBanditSampler(Sampler):
         shape = (space.d, space.bucket_count)
         self.visits = np.zeros(shape, dtype=np.int64)
         self.counts: dict[FalsificationVector, np.ndarray] = {}
+        self._count_sum = np.zeros(shape, dtype=np.int64)  # sum of counts
         self.init_cursor = 0
 
     # -- statistics --------------------------------------------------------
 
     def count_sum(self) -> np.ndarray:
-        """Sum of counterexample counts over all maximal vectors (d x N)."""
-        total = np.zeros_like(self.visits)
-        for matrix in self.counts.values():
-            total += matrix
-        return total
+        """Sum of counterexample counts over all maximal vectors (d x N).
+
+        Kept in step with ``counts`` as they change, not re-summed.
+        """
+        return self._count_sum.copy()
 
     def mu_hat(self) -> np.ndarray:
         """Counterexample proportion per bucket; 0 where never visited."""
         visits = self.visits
         with np.errstate(invalid="ignore", divide="ignore"):
-            mu = np.where(visits > 0, self.count_sum() / visits, 0.0)
+            mu = np.where(visits > 0, self._count_sum / visits, 0.0)
         return mu
 
     def ucb_scores(self, t: int | None = None) -> np.ndarray:
@@ -365,13 +366,14 @@ class MultiArmedBanditSampler(Sampler):
         if key not in self.counts:
             # Just admitted: drop the counts of the members it evicted.
             for old in [k for k in self.counts if k not in self.maximal]:
-                del self.counts[old]
+                self._count_sum -= self.counts.pop(old)
             self.counts[key] = np.zeros(
                 (space.d, space.bucket_count), dtype=np.int64
             )
-        matrix = self.counts[key]
+        matrix, total = self.counts[key], self._count_sum
         for i, j in enumerate(buckets):
             matrix[i, j] += 1
+            total[i, j] += 1
 
     # -- introspection -----------------------------------------------------
 
@@ -398,6 +400,7 @@ class MultiArmedBanditSampler(Sampler):
             key: np.array(matrix, dtype=np.int64)
             for key, matrix in zip(self.maximal, snap["maximal_counts"])
         }
+        self._count_sum = sum(self.counts.values(), np.zeros_like(self.visits))
 
 
 def make_sampler(

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Callable, ClassVar, Mapping, Sequence
 
 from .errors import ConfigError
-from .kinematics import Scene, SceneBuilder, run_scene
+from .kinematics import Scene, SceneBuilder, min_separations, run_scene
 from .monitor import (
     DEFAULT_MAX_FRAMES,
     EGO,
@@ -34,6 +34,7 @@ from .monitor import (
     TERM_CRASH,
     TERM_TIME_LIMIT,
     MinSeparation,
+    SeparationMinima,
     Specification,
     Trajectory,
 )
@@ -563,6 +564,26 @@ def simulate(
     )
 
 
+def simulate_minima(
+    cfg: ScenarioConfig,
+    sample: SampleVector | Sequence[float],
+    backend: str | None = None,
+) -> SeparationMinima:
+    """simulate() with recording off: each agent's minimum separation.
+
+    Every metric reads only these, and they equal the trajectory's bit for
+    bit, so a campaign evaluates the same rho without a trajectory.
+    """
+    values = sample.values if isinstance(sample, SampleVector) else sample
+    scene = build_scene(cfg, values)
+    legs, counts, code = run_scene(
+        scene, dt=cfg.dt, max_frames=cfg.max_frames, backend=backend, minima=True
+    )
+    return SeparationMinima(
+        scene.agents, min_separations(legs, counts).tolist(), TERMINATION_BY_CODE[code]
+    )
+
+
 def load_known_unsafe(scenario_id: str) -> dict:
     """Shipped feature values known to violate at least one clearance metric.
 
@@ -598,17 +619,19 @@ def simulate_with_delay(
     cfg: ScenarioConfig,
     sample: SampleVector | Sequence[float],
     artificial_delay: float,
-) -> Trajectory:
-    """simulate(), padded so the call takes at least ``artificial_delay`` s.
+    simulator: Callable = simulate,
+):
+    """``simulator(cfg, sample)``, padded so the call takes at least ``artificial_delay`` s.
 
     Stands in for an expensive simulator when measuring orchestration
-    throughput; the returned trajectory is identical to simulate()'s.
+    throughput; the result is the one ``simulator`` returns, by default
+    simulate()'s trajectory.
     """
     if artificial_delay < 0:
         raise ConfigError(f"artificial delay must be >= 0, got {artificial_delay}")
     t0 = time.perf_counter()
-    traj = simulate(cfg, sample)
+    result = simulator(cfg, sample)
     remaining = artificial_delay - (time.perf_counter() - t0)
     if remaining > 0:
         time.sleep(remaining)
-    return traj
+    return result

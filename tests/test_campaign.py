@@ -21,6 +21,7 @@ from falsify import rulebook as rb
 from falsify import samplers as sa
 from falsify import scenarios as sc
 from falsify.errors import ConfigError, DomainError, FalsifyError
+from falsify import monitor as mo
 from falsify.monitor import TERM_TIME_LIMIT
 from falsify.space import SampleVector
 
@@ -163,6 +164,80 @@ def test_campaign_maximal_is_the_sampler_set(sampler, workers):
         b for b in vectors
         if not any(book.bits_strictly_dominates(a, b) for a in vectors)
     }
+
+
+# ---------------------------------------------------------------------------
+# The campaign's simulator: minima instead of a trajectory
+# ---------------------------------------------------------------------------
+
+
+def _equivalence_configs():
+    """Every scenario id, the intersection at m=1..8, each with a spec of
+    per-agent, joint and ego metrics at several thresholds."""
+    scenarios = [sc.ScenarioConfig(sid) for sid in sc.scenario_ids(catalog_only=False)
+                 if sid != "intersection"]
+    scenarios += [sc.ScenarioConfig("intersection", adversaries=m) for m in range(1, 9)]
+    for scen in scenarios:
+        agents = sc.monitored_agents(scen)
+        spec = mo.Specification(
+            [mo.MinSeparation(a) for a in agents]
+            + [mo.MinSeparation(agents[-1], threshold=0.75),
+               mo.JointSeparation(agents, threshold=12.5),
+               mo.JointSeparation(agents[:1], threshold=2.0),
+               mo.MinSeparation(mo.EGO, threshold=1.0)]
+        )
+        yield make_config(scen.scenario_id, adversaries=scen.adversaries, spec=spec,
+                          rulebook=rb.disconnected(len(spec)))
+
+
+def test_campaign_path_matches_the_trajectory_path():
+    """rho bytes, bits and termination of 1020 draws, campaign path against
+    evaluate(spec, scenarios.simulate(...)): lower and upper bounds,
+    midpoints, the known-unsafe fixture and uniform draws."""
+    rng = np.random.default_rng(2024)
+    draws = 0
+    for config in _equivalence_configs():
+        scen, space = config.scenario, config.space
+        lo = [d.lo for d in space.dims]
+        hi = [d.hi for d in space.dims]
+        points = [lo, hi, [(a + b) / 2 for a, b in zip(lo, hi)]]
+        if scen.adversaries == 1:  # the fixture is recorded at m=1
+            points.append(sc.known_unsafe_values(scen))
+        points += [rng.uniform(lo, hi).tolist() for _ in range(60 - len(points))]
+        runner = ca._Runner(config)
+        for values in points:
+            sample = space.make_sample(values)
+            kind, rho, bits, termination, _, _ = runner.run(sample)
+            traj = sc.simulate(scen, values)
+            want = mo.evaluate(config.spec, traj)
+            assert kind == "done"
+            assert np.array(rho).tobytes() == want.tobytes(), (scen, values)
+            assert bits == mo.falsification_vector(want)
+            assert termination == traj.termination
+            draws += 1
+    assert draws >= 1000
+
+
+def test_default_simulator_keeps_minima_not_a_trajectory():
+    config = make_config("intersection")
+    values = sc.known_unsafe_values(config.scenario)
+    run = ca.default_simulator(config, config.space.make_sample(values))
+    traj = sc.simulate(config.scenario, values)
+    assert isinstance(run, mo.SeparationMinima)
+    assert run.agents == traj.agents and run.termination == traj.termination
+    for agent in traj.agents:
+        assert run.min_separation(agent) == traj.min_separation(agent)
+
+
+def test_default_simulator_keeps_the_delay_floor():
+    config = make_config(delay=0.05)
+    sample = config.space.make_sample([0.35, 0.5])
+    t0 = time.perf_counter()
+    run = ca.default_simulator(config, sample)
+    assert time.perf_counter() - t0 >= 0.05
+    assert isinstance(run, mo.SeparationMinima)
+    assert run.minima == ca.default_simulator(
+        dataclasses.replace(config, delay=0.0), sample).minima
 
 
 # ---------------------------------------------------------------------------

@@ -3,18 +3,25 @@
 import csv
 import dataclasses
 import json
+import multiprocessing
+import os
+import signal
+import time
 from pathlib import Path
 
 import pytest
 
-from falsify import cli
+from falsify import campaign, cli
 from falsify.campaign import (
     CampaignError,
     read_records,
+    read_result,
     read_summary,
     run_campaign,
 )
 from falsify.config import example_config, parse_config
+from falsify.errors import ConfigError
+from falsify.samplers import make_sampler
 from falsify.scenarios import ScenarioConfig, simulate
 
 
@@ -80,6 +87,21 @@ def test_run_rejects_unknown_config_keys(tmp_path, capsys):
     rc, _, err = run_cli(capsys, "run", str(path))
     assert rc == 2
     assert "zzz" in err
+
+
+def test_run_rejects_dimensions_that_misname_the_features(tmp_path, capsys):
+    # Scenario 1 binds ego_speed, ego_distance, adv_speed, adv_distance by
+    # position; these names would put adv_distance's range on ego_speed.
+    doc = example_config("1")
+    names = ["adv_distance", "typo", "ego_speed", "ego_distance"]
+    for dim, name in zip(doc["feature_space"]["dimensions"], names):
+        dim["name"] = name
+    with pytest.raises(ConfigError, match="typo"):
+        parse_config(doc)
+    path, _ = write_config(tmp_path, feature_space=doc["feature_space"])
+    rc, _, err = run_cli(capsys, "run", str(path))
+    assert rc == 2
+    assert "'ego_speed', 'ego_distance', 'adv_speed', 'adv_distance'" in err
 
 
 def test_run_rejects_invalid_json(tmp_path, capsys):
@@ -175,6 +197,38 @@ def test_run_aborts_with_exit_3_and_partial_artifacts(tmp_path, capsys, monkeypa
     # partial artifacts still land on disk
     assert (out_dir / "records.jsonl").exists()
     assert read_summary(out_dir)["totals"]["samples"] == 4
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_ctrl_c_leaves_a_readable_partial_run(tmp_path, capsys, monkeypatch,
+                                                  workers):
+    # At W=1 the interrupt lands in the inline simulation of sample 5; at
+    # W=2 the forked worker running it signals the coordinator, as a Ctrl-C
+    # at the terminal would.
+    cfg_path, out_dir = write_config(tmp_path, max_samples=40)
+    config = parse_config(json.loads(cfg_path.read_text()))
+    sampler = make_sampler("halton", config.space, config.seed)
+    doomed = [sampler.next_sample() for _ in range(6)][5].values
+    coordinator = os.getpid()
+
+    def interrupted_on_sample_5(config, sample):
+        if sample.values == doomed:
+            if workers == 1:
+                raise KeyboardInterrupt
+            os.kill(coordinator, signal.SIGINT)
+            time.sleep(0.05)  # still in flight when the coordinator stops
+        return simulate(config.scenario, sample)
+
+    monkeypatch.setattr(campaign, "default_simulator", interrupted_on_sample_5)
+    rc, _, err = run_cli(capsys, "run", str(cfg_path), "--workers", str(workers))
+    assert rc == 3
+    assert "interrupted" in err and "partial artifacts written" in err
+    result = read_result(out_dir)
+    ids = [r.id for r in result.records]
+    assert len(set(ids)) == len(ids) and set(range(5)) <= set(ids)
+    assert (5 in ids) == (workers == 2)  # a worker's sample in flight is kept
+    assert len(ids) <= result.dispatched < 40 and result.failed == 0
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("workers", ["1", "2", "4"])

@@ -16,7 +16,7 @@ import types
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from falsify import kinematics as kin
@@ -707,3 +707,147 @@ def test_backend_equivalence_property(scene):
     assert py[3] == nb[3]
     for x, y in zip(py[:3], nb[:3]):
         assert np.array_equal(x, y)
+
+
+# ---------------------------------------------------------------------------
+# Minima kernel: each agent's minimum separation without a trajectory
+# ---------------------------------------------------------------------------
+
+
+def recorded_minima(scene, dt=0.1, max_frames=300):
+    """Each agent's minimum ego separation, read off the recording kernel."""
+    pos, _, _, code = kin.run_scene(scene, dt=dt, max_frames=max_frames,
+                                    backend="python")
+    with np.errstate(invalid="ignore"):  # inf - inf
+        legs = pos[:, :1] - pos
+    return np.hypot(legs[..., 0], legs[..., 1]).min(axis=0), code
+
+
+def kernel_minima(scene, dt=0.1, max_frames=300):
+    legs, counts, code = kin.run_scene(
+        scene, dt=dt, max_frames=max_frames, backend="python", minima=True
+    )
+    assert legs.shape == (sum(counts), 2) and counts[0] == 1 and min(counts) >= 1
+    return kin.min_separations(legs, counts), code
+
+
+def assert_same_minima(got, want):
+    (a, code_a), (b, code_b) = got, want
+    assert code_a == code_b
+    assert a.dtype == b.dtype == np.float64
+    assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("make", [rich_scene, max_rules_scene, mutual_scene,
+                                  one_agent_scene, signed_zero_scene])
+@pytest.mark.parametrize("max_frames", [1, 300])
+def test_minima_kernel_matches_recording(make, max_frames):
+    assert_same_minima(kernel_minima(make(), max_frames=max_frames),
+                       recorded_minima(make(), max_frames=max_frames))
+
+
+@given(scenes())
+@settings(max_examples=80, deadline=None)
+def test_minima_kernel_matches_recording_property(scene):
+    assert_same_minima(kernel_minima(scene, max_frames=120),
+                       recorded_minima(scene, max_frames=120))
+
+
+@pytest.mark.parametrize("make", [rich_scene, mutual_scene])
+def test_recorded_legs_reduce_to_the_same_minima(make):
+    # The numba backend's minima path: its recorded arrays, every frame a
+    # candidate, through the same helper.  The oracle stands in for it.
+    recorded = oracle(make())
+    legs, counts, code = kin._recorded_legs(recorded)
+    assert counts == (len(recorded[0]),) * len(make().agents)
+    assert_same_minima((kin.min_separations(legs, counts), code),
+                       kernel_minima(make()))
+
+
+def test_minima_kernel_keeps_few_legs():
+    cfg = sc.ScenarioConfig("intersection", adversaries=5)
+    rng = np.random.default_rng(3)
+    for _ in range(10):
+        scene = sc.build_scene(
+            cfg, [rng.uniform(f.lo, f.hi) for f in sc.feature_bindings(cfg)])
+        legs, counts, _ = kin.run_scene(scene, minima=True)
+        assert len(kin.run_scene(scene)[0]) > 10 and max(counts) < 4, counts
+
+
+@pytest.mark.parametrize("where, value", [
+    ((0, 0), math.nan), ((0, 1), math.inf), ((1, 0), -math.inf), ((2, 1), math.nan),
+])
+def test_minima_kernel_propagates_non_finite_positions(where, value):
+    scene = rich_scene()
+    a, axis = where
+    xy = list(scene.pos[a])
+    xy[axis] = value
+    scene.pos[a] = tuple(xy)
+    got, want = kernel_minima(scene), recorded_minima(scene)
+    assert got[1] == want[1]
+    assert np.array_equal(got[0], want[0], equal_nan=True)
+    assert not np.all(np.isfinite(got[0]))
+
+
+def test_minima_kernel_measures_legs_whose_square_underflows():
+    # 1e-280 m apart: q underflows to 0.0, where hypot does not.
+    b = kin.SceneBuilder()
+    stationary_obstacle(b, "ego", (0.0, 0.0))
+    stationary_obstacle(b, "near", (1e-280, 0.0))
+    legs, counts, code = kin.run_scene(b.build(), minima=True)
+    assert code == kin.CODE_CRASH and counts == (1, 1)
+    assert kin.min_separations(legs, counts).tolist() == [0.0, 1e-280]
+
+
+@functools.cache
+def candidate_filter():
+    """The minima kernel's candidate step for one agent, on its own.
+
+    ``keep(legs)`` runs the step ``kin._track`` emits over a sequence of
+    ``(dx, dy)`` legs and returns the kept ones flat, ``[dx, dy, ...]``:
+    what a minima kernel hands back for an agent whose legs those were.
+    """
+    lines = ["def keep(legs):", "    inf = math.inf",
+             f"    tie, tiny = {kin.TIE!r}, {kin.TINY!r}", "    qm1 = qb1 = inf",
+             "    lg1 = []", "    for dx1, dy1 in legs:"]
+    kin._track(lambda depth, *texts: lines.extend("    " * depth + t for t in texts),
+               2, 1, crash=False)
+    lines.append("    return lg1")
+    namespace = {"math": math}
+    exec("\n".join(lines) + "\n", namespace)
+    return namespace["keep"]
+
+
+# A pair of legs whose q = dx*dx + dy*dy and np.hypot disagree on order:
+# q(FAR) < q(NEAR) by one ulp, yet hypot(FAR) > hypot(NEAR).  A filter that
+# keeps only the smallest q would drop NEAR, the true minimum.
+FAR = (-63.76780202092754, -3.7451882994656165)
+NEAR = (62.86911066052508, 11.306366999762393)
+
+
+def test_pinned_legs_disagree_on_order():
+    (fx, fy), (nx, ny) = FAR, NEAR
+    assert fx * fx + fy * fy < nx * nx + ny * ny
+    assert np.hypot(fx, fy) > np.hypot(nx, ny)
+
+
+legs_st = st.tuples(st.floats(), st.floats()) | st.tuples(
+    st.floats(-100, 100), st.floats(-100, 100))
+
+
+@given(st.lists(legs_st | st.sampled_from([FAR, NEAR]), min_size=1, max_size=60))
+@example([FAR, NEAR])
+@example([NEAR, FAR])
+@example([FAR, (70.0, 0.0), NEAR, FAR])
+@settings(max_examples=300, deadline=None)
+def test_candidate_filter_keeps_the_minimum(legs):
+    kept = candidate_filter()(legs)
+    assert kept and len(kept) % 2 == 0
+    every = np.array(legs, dtype=float)
+    with np.errstate(over="ignore"):  # legs near the largest float
+        got = kin.min_separations(np.array(kept).reshape(-1, 2), (len(kept) // 2,))
+        want = np.hypot(every[:, 0], every[:, 1]).min(keepdims=True)
+    if np.isnan(want[0]):
+        assert np.isnan(got[0])
+    else:
+        assert got.tobytes() == want.tobytes()

@@ -12,6 +12,7 @@ from falsify.monitor import (
     TERM_TIME_LIMIT,
     JointSeparation,
     MinSeparation,
+    SeparationMinima,
     Specification,
     Trajectory,
     evaluate,
@@ -113,6 +114,55 @@ class TestTrajectory:
             assert type(rho) is float
             want = float((per_agent - 5.0).min())
             assert np.float64(rho).tobytes() == np.float64(want).tobytes()
+
+
+class TestSeparationMinima:
+    def test_reads_like_the_trajectory(self):
+        traj = make_traj([[0, 0], [0, 0]], [[[3, 4], [6, 8]], [[1, 0], [0, 2]]])
+        minima = SeparationMinima(
+            traj.agents, [traj.min_separation(a) for a in traj.agents], traj.termination
+        )
+        assert minima.min_separation("adv0") == 5.0
+        spec = Specification([MinSeparation("adv0", 4.0),
+                              JointSeparation(("adv0", "adv1"), 2.5),
+                              MinSeparation(EGO, 1.0)])
+        assert evaluate(spec, minima).tobytes() == evaluate(spec, traj).tobytes()
+
+    def test_unknown_agent_raises_what_the_trajectory_raises(self):
+        traj = make_traj([[0, 0]], [[[9, 0]]])
+        minima = SeparationMinima(traj.agents, [0.0, 9.0], TERM_TIME_LIMIT)
+        errors = []
+        for run in (traj, minima):
+            with pytest.raises(SpecError) as info:
+                MinSeparation("ghost").robustness(run)
+            errors.append(str(info.value))
+        assert errors[0] == errors[1] and "ghost" in errors[0]
+
+    @pytest.mark.parametrize("agents, minima, termination", [
+        (("adv", EGO), [1.0, 0.0], TERM_CRASH),
+        ((), [], TERM_CRASH),
+        ((EGO, "adv"), [0.0], TERM_CRASH),
+        ((EGO,), [0.0], "exploded"),
+    ])
+    def test_validation(self, agents, minima, termination):
+        with pytest.raises(DomainError):
+            SeparationMinima(agents, minima, termination)
+
+    @given(st.lists(st.floats(allow_nan=True) | st.sampled_from([np.nan, np.inf]),
+                    min_size=1, max_size=30),
+           st.floats(0.01, 100))
+    @settings(max_examples=200)
+    def test_clearance_is_the_minimum_minus_the_threshold(self, column, threshold):
+        # Rounded subtraction is monotone, so min(sep - t) == min(sep) - t,
+        # NaN included: what the metrics computed before, bit for bit.
+        seps = np.abs(np.array(column))
+        traj = make_traj(np.zeros((len(seps), 2)),
+                         [np.stack([seps, np.zeros_like(seps)], axis=1)])
+        with np.errstate(invalid="ignore"):
+            want = float((traj.ego_separations[:, 1] - threshold).min())
+        got = MinSeparation("adv0", threshold).robustness(traj)
+        assert type(got) is float
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 class TestMinSeparation:
