@@ -21,13 +21,15 @@ Sample ids are assigned at dispatch and are dense over dispatched
 samples.  The failure policy is the same for every W.  A simulation or
 evaluation that raises a package error (``FalsifyError``) is a package
 or config fault that would repeat on every sample, so it aborts the
-campaign, as do any package error on the coordinator, a worker process
-that dies and a Ctrl-C: in-flight samples are absorbed and the partial
-result is attached to the raised CampaignError.  A worker sends back
-the error's type name and message, not the error itself, which may not
+campaign, as do any package error on the coordinator and a worker
+process that dies: in-flight samples are absorbed and the partial result
+is attached to the raised CampaignError.  A worker sends back the
+error's type name and message, not the error itself, which may not
 survive pickling.  Any other exception marks its sample failed: the id
 is logged and counted, the sample joins neither table, and the campaign
-continues.
+continues.  A Ctrl-C stops dispatch instead: the samples in flight
+finish and are absorbed, and CampaignInterrupted, a KeyboardInterrupt,
+carries the partial result; a second Ctrl-C raises at once.
 """
 
 from __future__ import annotations
@@ -252,12 +254,21 @@ class CampaignError(FalsifyError):
         self.partial = partial
 
 
+class CampaignInterrupted(KeyboardInterrupt):
+    """Ctrl-C stopped the campaign; .partial holds every sample it finished.
+
+    A KeyboardInterrupt, so a caller's ``except Exception`` lets it through.
+    """
+
+    def __init__(self, message: str, partial: CampaignResult):
+        super().__init__(message)
+        self.partial = partial
+
+
 def default_simulator(config: CampaignConfig, sample: SampleVector):
     """Each agent's minimum separation for one sample, with no trajectory."""
     if config.delay > 0:
-        return simulate_with_delay(
-            config.scenario, sample, config.delay, simulator=simulate_minima
-        )
+        return simulate_with_delay(config.scenario, sample, config.delay)
     return simulate_minima(config.scenario, sample)
 
 
@@ -277,6 +288,7 @@ class _Runner:
         self.records: list[SampleRecord] = []
         self.failed = 0
         self.dispatched = 0
+        self.interrupted = False
         self.t0 = time.perf_counter()
 
     # -- budget --------------------------------------------------------------
@@ -285,6 +297,8 @@ class _Runner:
         return time.perf_counter() - self.t0
 
     def may_dispatch(self) -> bool:
+        if self.interrupted:
+            return False
         cfg = self.config
         if cfg.max_samples is not None and self.dispatched >= cfg.max_samples:
             return False
@@ -504,6 +518,34 @@ class _Pool:
             worker.join()
 
 
+@contextlib.contextmanager
+def _stop_on_ctrl_c(runner: _Runner):
+    """While the campaign runs, a Ctrl-C sets ``runner.interrupted``.
+
+    The runner then dispatches nothing more and absorbs what is in flight,
+    so no sample is left half folded into the sampler.  The first Ctrl-C
+    puts the default handler back, so a second one raises at once.  Only
+    the main thread receives signals, and a caller who installed a SIGINT
+    handler of their own keeps it.
+    """
+    import signal  # here, not at the top: it would add to every set-up
+
+    if (threading.current_thread() is not threading.main_thread()
+            or signal.getsignal(signal.SIGINT) is not signal.default_int_handler):
+        yield
+        return
+
+    def stop(signum, frame):
+        runner.interrupted = True
+        signal.signal(signal.SIGINT, signal.default_int_handler)
+
+    signal.signal(signal.SIGINT, stop)
+    try:
+        yield
+    finally:
+        signal.signal(signal.SIGINT, signal.default_int_handler)
+
+
 def run_campaign(config: CampaignConfig, simulate_fn=None) -> CampaignResult:
     """Run a campaign to its budget: sample, simulate, evaluate, update.
 
@@ -512,34 +554,39 @@ def run_campaign(config: CampaignConfig, simulate_fn=None) -> CampaignResult:
     more than a fast simulation.  At W>1 the default simulator runs in
     forked processes and a caller's ``simulate_fn`` on threads (see the
     module docstring); forking needs the ``fork`` start method, and
-    without it the default simulator runs on threads too.  A Ctrl-C
-    (``KeyboardInterrupt``) aborts like a package error: the samples in
-    flight are absorbed and the CampaignError carries the partial result.
+    without it the default simulator runs on threads too.  A Ctrl-C ends
+    the campaign early with CampaignInterrupted, which carries the
+    partial result.
     """
     runner = _Runner(config, simulate_fn)
     pool = _Pool(runner)
-    try:
-        if config.workers == 1:
-            while runner.may_dispatch():
-                task = runner.dispatch()
-                runner.handle(task, 0, runner.run(task[2]))
-        else:
-            if simulate_fn is None:
-                # One run here compiles the scenario's kernel, which the
-                # forked workers then inherit instead of each compiling it
-                # on its first sample.
-                simulate_minima(config.scenario, [d.lo for d in config.space.dims])
-            pool.start(config.workers, forked=simulate_fn is None)
-            pool.pipeline()
-    except (FalsifyError, KeyboardInterrupt) as exc:
-        pool.drain()
-        reason = "interrupted" if isinstance(exc, KeyboardInterrupt) else exc
-        raise CampaignError(
-            f"campaign aborted after {len(runner.records)} samples: {reason}",
+    with _stop_on_ctrl_c(runner):
+        try:
+            if config.workers == 1:
+                while runner.may_dispatch():
+                    task = runner.dispatch()
+                    runner.handle(task, 0, runner.run(task[2]))
+            else:
+                if simulate_fn is None:
+                    # One run here compiles the scenario's kernel, which the
+                    # forked workers then inherit instead of each compiling it
+                    # on its first sample.
+                    simulate_minima(config.scenario, [d.lo for d in config.space.dims])
+                pool.start(config.workers, forked=simulate_fn is None)
+                pool.pipeline()
+        except FalsifyError as exc:
+            pool.drain()
+            raise CampaignError(
+                f"campaign aborted after {len(runner.records)} samples: {exc}",
+                runner.result(),
+            ) from exc
+        finally:
+            pool.close()
+    if runner.interrupted:
+        raise CampaignInterrupted(
+            f"campaign interrupted after {len(runner.records)} samples",
             runner.result(),
-        ) from exc
-    finally:
-        pool.close()
+        )
     return runner.result()
 
 

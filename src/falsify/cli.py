@@ -24,6 +24,7 @@ from pathlib import Path
 from .analysis import ci_width_ratio, coverage_stats, speedup_factor
 from .campaign import (
     CampaignError,
+    CampaignInterrupted,
     CampaignResult,
     read_result,
     run_campaign,
@@ -109,7 +110,7 @@ def cmd_run(args) -> int:
     out_dir = Path(config.output_dir)
     try:
         result = run_campaign(config)
-    except CampaignError as exc:
+    except (CampaignError, CampaignInterrupted) as exc:
         write_artifacts(exc.partial, out_dir)
         print(
             f"partial artifacts written to {out_dir}", file=sys.stderr

@@ -277,6 +277,16 @@ TIE = 1.0 + 2.0 ** -48
 TINY = 2.0 ** -900
 
 
+def _near(dx, dy, r, neg_r) -> str:
+    """Source for ``hypot(dx, dy) < r``, exactly, guarded as ``_kernel_source`` argues.
+
+    hypot is never below max(|dx|, |dy|), so with a leg outside (-r, r)
+    the test is false without the call.
+    """
+    return (f"{neg_r} < (dx := {dx}) < {r} and {neg_r} < (dy := {dy}) < {r}"
+            f" and hypot(dx, dy) < {r}")
+
+
 def _track(emit, depth, a, crash=True):
     """Emit agent a's step of the minima kernel for one frame.
 
@@ -294,8 +304,7 @@ def _track(emit, depth, a, crash=True):
     emit(depth + 2, f"{c} += {dx}, {dy}", f"if q < {qm}:")
     emit(depth + 3, f"{qm}, {qb} = q, b")
     if crash:
-        emit(depth + 1, f"if ncrash < {dx} < crash_dist and ncrash < {dy} < crash_dist"
-                        f" and hypot({dx}, {dy}) < crash_dist:")
+        emit(depth + 1, f"if {_near(dx, dy, 'crash_dist', 'ncrash')}:")
         emit(depth + 2, f"term = {CODE_CRASH}")
 
 
@@ -366,12 +375,6 @@ def _kernel_source(modes, rules, minima=False) -> str:
     def row(fmt, among=agents):
         return ", ".join(fmt.format(a=a) for a in among) + ","
 
-    def near(dx, dy, r, neg_r):
-        # hypot(dx, dy) < r, exactly.  hypot is never below max(|dx|, |dy|),
-        # so with a leg outside (-r, r) the test is false without the call.
-        return (f"{neg_r} < (dx := {dx}) < {r} and {neg_r} < (dy := {dy}) < {r}"
-                f" and hypot(dx, dy) < {r}")
-
     def steer(depth, a, heading):
         emit(depth, f"h{a} = {heading}", f"if h{a} != hc{a}:")
         emit(depth + 1, f"hc{a}, co{a}, sn{a} = h{a}, cos(h{a}), sin(h{a})")
@@ -423,7 +426,7 @@ def _kernel_source(modes, rules, minima=False) -> str:
     emit(2, "# Goal bookkeeping on the frame-k state.")
     for a in agents:
         if modes[a] == MODE_WAYPOINT:
-            capture = near(f"wx{a} - x{a}", f"wy{a} - y{a}", "capture_radius", "ncap")
+            capture = _near(f"wx{a} - x{a}", f"wy{a} - y{a}", "capture_radius", "ncap")
             emit(2, f"while i{a} < n{a} and {capture}:")
             emit(3, f"i{a} += 1", f"if i{a} < n{a}:")
             emit(4, f"wx{a}, wy{a} = wps{a}[i{a}]")
@@ -432,7 +435,7 @@ def _kernel_source(modes, rules, minima=False) -> str:
             emit(3, f"done{a} = True")
     if not minima:  # the minima kernel ran its crash tests with its legs
         for a in agents[1:]:
-            emit(2, f"if {near(f'x{a} - x0', f'y{a} - y0', 'crash_dist', 'ncrash')}:")
+            emit(2, f"if {_near(f'x{a} - x0', f'y{a} - y0', 'crash_dist', 'ncrash')}:")
             emit(3, f"term = {CODE_CRASH}", "break")
     emit(2, "if " + " and ".join(
         f"i{a} >= n{a}" if modes[a] == MODE_WAYPOINT else f"done{a}" for a in agents
@@ -452,7 +455,7 @@ def _kernel_source(modes, rules, minima=False) -> str:
             emit(2, f"y_des = ly{a}")
         for j, (rt, b) in enumerate(rules[a]):
             f0, f1, f2, s = f"f{a}_{j}_0", f"f{a}_{j}_1", f"f{a}_{j}_2", f"s{a}_{j}"
-            gap_below_f0 = near(f"x{b} - x{a}", f"y{b} - y{a}", f0, f"nf{a}_{j}")
+            gap_below_f0 = _near(f"x{b} - x{a}", f"y{b} - y{a}", f0, f"nf{a}_{j}")
             if rt == RULE_BRAKE_AHEAD:
                 emit(2, f"dx = x{b} - x{a}", f"dy = y{b} - y{a}",
                      f"along = dx * co{a} + dy * sn{a}",

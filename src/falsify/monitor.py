@@ -141,11 +141,8 @@ class SeparationMinima:
             )
         self.termination = termination
 
-    def agent_index(self, name: str) -> int:
-        return _agent_index(self.agents, name)
-
     def min_separation(self, agent: str) -> float:
-        return self.minima[self.agent_index(agent)]
+        return self.minima[_agent_index(self.agents, agent)]
 
 
 def _agent_index(agents: tuple[str, ...], name: str) -> int:

@@ -565,9 +565,7 @@ def simulate(
 
 
 def simulate_minima(
-    cfg: ScenarioConfig,
-    sample: SampleVector | Sequence[float],
-    backend: str | None = None,
+    cfg: ScenarioConfig, sample: SampleVector | Sequence[float]
 ) -> SeparationMinima:
     """simulate() with recording off: each agent's minimum separation.
 
@@ -577,7 +575,7 @@ def simulate_minima(
     values = sample.values if isinstance(sample, SampleVector) else sample
     scene = build_scene(cfg, values)
     legs, counts, code = run_scene(
-        scene, dt=cfg.dt, max_frames=cfg.max_frames, backend=backend, minima=True
+        scene, dt=cfg.dt, max_frames=cfg.max_frames, minima=True
     )
     return SeparationMinima(
         scene.agents, min_separations(legs, counts).tolist(), TERMINATION_BY_CODE[code]
@@ -619,19 +617,17 @@ def simulate_with_delay(
     cfg: ScenarioConfig,
     sample: SampleVector | Sequence[float],
     artificial_delay: float,
-    simulator: Callable = simulate,
-):
-    """``simulator(cfg, sample)``, padded so the call takes at least ``artificial_delay`` s.
+) -> SeparationMinima:
+    """simulate_minima(), padded so the call takes at least ``artificial_delay`` s.
 
     Stands in for an expensive simulator when measuring orchestration
-    throughput; the result is the one ``simulator`` returns, by default
-    simulate()'s trajectory.
+    throughput; the returned minima are identical to simulate_minima()'s.
     """
     if artificial_delay < 0:
         raise ConfigError(f"artificial delay must be >= 0, got {artificial_delay}")
     t0 = time.perf_counter()
-    result = simulator(cfg, sample)
+    minima = simulate_minima(cfg, sample)
     remaining = artificial_delay - (time.perf_counter() - t0)
     if remaining > 0:
         time.sleep(remaining)
-    return result
+    return minima

@@ -1,10 +1,15 @@
 """Tests for the experiment suite machinery (fast experiments only)."""
 
+import dataclasses
 import json
+import os
+import signal
 
 import pytest
 
 from falsify import bench, cli
+from falsify.campaign import run_campaign
+from falsify.scenarios import simulate
 from falsify.config import parse_config
 from falsify.errors import ConfigError
 
@@ -98,6 +103,34 @@ def test_crashing_experiment_is_isolated(monkeypatch):
     assert crashed["passed"] is False
     assert "synthetic experiment crash" in crashed["error"]
     assert passed["passed"] is True  # the crash did not abort the suite
+
+
+def test_ctrl_c_stops_the_suite(monkeypatch):
+    ran = []
+
+    def interrupted(configs):
+        ran.append("interrupted")
+        config = dataclasses.replace(configs["sweep_scenario_1"], max_samples=20)
+
+        def ctrl_c(config, sample):
+            os.kill(os.getpid(), signal.SIGINT)
+            return simulate(config.scenario, sample)
+
+        run_campaign(config, simulate_fn=ctrl_c)
+        return []
+
+    def after(configs):
+        ran.append("after")
+        return []
+
+    monkeypatch.setattr(bench, "EXPERIMENTS", tuple(
+        bench.Experiment(name=name, description=name,
+                         config_names=("sweep_scenario_1",), runner=runner)
+        for name, runner in (("interrupted", interrupted), ("after", after))
+    ))
+    with pytest.raises(KeyboardInterrupt):
+        bench.run_suite("")
+    assert ran == ["interrupted"]
 
 
 def test_print_table_renders_verdicts(capsys, monkeypatch):

@@ -364,6 +364,55 @@ def test_worker_processes_ignore_sigint(monkeypatch):
     assert len(result.records) == 30 and result.failed == 0
 
 
+def _ctrl_c_on_call(n, times=1):
+    """A simulate_fn whose n-th call sends SIGINT to this process ``times`` times."""
+    calls = []
+
+    def simulate(config, sample):
+        calls.append(sample)
+        if len(calls) == n:
+            for _ in range(times):
+                os.kill(os.getpid(), signal.SIGINT)
+        return sc.simulate(config.scenario, sample)
+
+    return simulate
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_ctrl_c_finishes_the_samples_in_flight(workers):
+    config = make_config("1", sampler_name="mab", max_samples=40, workers=workers)
+    with pytest.raises(ca.CampaignInterrupted, match="interrupted after") as err:
+        ca.run_campaign(config, simulate_fn=_ctrl_c_on_call(6))
+    assert not isinstance(err.value, Exception)  # `except Exception` lets it by
+    partial = err.value.partial
+    ids = sorted(r.id for r in partial.records)
+    assert ids == list(range(partial.dispatched)) and 5 in ids
+    if workers == 1:
+        assert partial.dispatched == 6
+    # Every finished sample is in both the records and the sampler's state.
+    assert partial.snapshot["completed"] == partial.snapshot["issued"] == len(ids)
+    assert signal.getsignal(signal.SIGINT) is signal.default_int_handler
+
+
+def test_a_second_ctrl_c_raises_at_once():
+    config = make_config("1", max_samples=40)
+    with pytest.raises(KeyboardInterrupt) as err:
+        ca.run_campaign(config, simulate_fn=_ctrl_c_on_call(3, times=2))
+    assert type(err.value) is KeyboardInterrupt
+    assert signal.getsignal(signal.SIGINT) is signal.default_int_handler
+
+
+def test_ctrl_c_keeps_a_callers_own_handler():
+    seen = []
+    previous = signal.signal(signal.SIGINT, lambda signum, frame: seen.append(signum))
+    try:
+        result = ca.run_campaign(make_config("1", max_samples=10),
+                                 simulate_fn=_ctrl_c_on_call(3))
+        assert seen == [signal.SIGINT] and len(result.records) == 10
+    finally:
+        signal.signal(signal.SIGINT, previous)
+
+
 def test_worker_processes_exit_when_the_coordinator_end_closes():
     pool = ca._Pool(ca._Runner(make_config(workers=2)))
     pool.start(2, forked=True)

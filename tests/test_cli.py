@@ -202,9 +202,8 @@ def test_run_aborts_with_exit_3_and_partial_artifacts(tmp_path, capsys, monkeypa
 @pytest.mark.parametrize("workers", [1, 2])
 def test_run_ctrl_c_leaves_a_readable_partial_run(tmp_path, capsys, monkeypatch,
                                                   workers):
-    # At W=1 the interrupt lands in the inline simulation of sample 5; at
-    # W=2 the forked worker running it signals the coordinator, as a Ctrl-C
-    # at the terminal would.
+    # The simulation of sample 5 signals the coordinator, as a Ctrl-C at the
+    # terminal would: inline at W=1, from a forked worker at W=2.
     cfg_path, out_dir = write_config(tmp_path, max_samples=40)
     config = parse_config(json.loads(cfg_path.read_text()))
     sampler = make_sampler("halton", config.space, config.seed)
@@ -213,8 +212,6 @@ def test_run_ctrl_c_leaves_a_readable_partial_run(tmp_path, capsys, monkeypatch,
 
     def interrupted_on_sample_5(config, sample):
         if sample.values == doomed:
-            if workers == 1:
-                raise KeyboardInterrupt
             os.kill(coordinator, signal.SIGINT)
             time.sleep(0.05)  # still in flight when the coordinator stops
         return simulate(config.scenario, sample)
@@ -224,11 +221,13 @@ def test_run_ctrl_c_leaves_a_readable_partial_run(tmp_path, capsys, monkeypatch,
     assert rc == 3
     assert "interrupted" in err and "partial artifacts written" in err
     result = read_result(out_dir)
-    ids = [r.id for r in result.records]
-    assert len(set(ids)) == len(ids) and set(range(5)) <= set(ids)
-    assert (5 in ids) == (workers == 2)  # a worker's sample in flight is kept
-    assert len(ids) <= result.dispatched < 40 and result.failed == 0
+    ids = sorted(r.id for r in result.records)
+    # The samples in flight are finished, sample 5 among them.
+    assert ids == list(range(result.dispatched)) and 5 in ids
+    assert result.dispatched < 40 and result.failed == 0
+    assert result.snapshot["completed"] == len(ids)
     assert multiprocessing.active_children() == []
+    assert signal.getsignal(signal.SIGINT) is signal.default_int_handler
 
 
 @pytest.mark.parametrize("workers", ["1", "2", "4"])
