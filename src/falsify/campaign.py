@@ -14,8 +14,8 @@ order).  With the default simulator the workers are forked processes,
 so the interpreted kernel runs on W interpreters at once.  A
 ``simulate_fn`` passed in by the caller runs on worker threads in the
 caller's process instead, where it may keep state; those threads
-overlap only while the simulation releases the interpreter lock (the
-numba kernel, a sleep).
+overlap only while the simulation releases the interpreter lock (a
+sleep).
 
 Sample ids are assigned at dispatch and are dense over dispatched
 samples.  The failure policy is the same for every W.  A simulation or

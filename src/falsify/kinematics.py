@@ -6,20 +6,15 @@ wait until a target approaches, speed up when a target drifts laterally,
 change lanes around a target).
 
 A Scene is the builder's Python lists: one entry per agent, and each
-agent's rules as ``(type, target, f0, f1, f2)`` tuples.  The loop has two
-sources.  ``_kernel_source`` is the generator behind the interpreted
-backend, ``integrate_python``: for each scene structure (agent count,
-modes, and each rule's type and target) it writes one straight-line
-Python function that reads the Scene's lists directly, with the agent
-state in locals.  ``_integrate_impl`` works on padded numpy arrays that
-``_run_arrays`` packs from the Scene: it is what numba compiles when it
-imports (FALSIFY_NUMBA=0 skips it) and, run uncompiled, the oracle.
-Both do the same arithmetic in the same order, and a change to one
-source must be made to the other.  In tests/test_kinematics.py the
-``test_python_kernel_matches_oracle_*`` and
-``test_generated_kernel_matches_oracle`` tests require bit-identical
-trajectories from the generated kernels (and the numba tests from the
-compiled one where numba imports).
+agent's rules as ``(type, target, f0, f1, f2)`` tuples.  There is one
+kernel.  For each scene structure (agent count, modes, and each rule's
+type and target) ``_kernel_source`` writes one straight-line Python
+function that reads the Scene's lists directly, with the agent state in
+locals; ``_compiled`` compiles and caches it, and ``run_scene`` runs it.
+Its reference is tests/kinematics_oracle.py, the same loop written
+plainly over padded numpy arrays, which the package never runs; the
+``*_matches_oracle*`` tests in tests/test_kinematics.py require
+bit-identical trajectories from the generated kernel.
 
 ``run_scene`` has two outputs, picked by its ``minima`` flag.  By
 default it records every frame: positions, headings, speeds and the
@@ -28,8 +23,6 @@ With ``minima`` it records nothing: the generated kernel keeps, for each
 agent, only the legs from the ego near that agent's running minimum
 separation, and ``min_separations`` reduces them to each agent's minimum,
 bit for bit the trajectory's.  That is what a campaign's simulator runs.
-The numba backend records as usual and reduces every frame's legs with
-the same helper.
 
 Agents come in two steering modes.  Waypoint agents head straight for
 their next waypoint and advance through the list on capture.  Lane
@@ -41,9 +34,7 @@ from __future__ import annotations
 
 import itertools
 import linecache
-import logging
 import math
-import os
 import struct
 import threading
 from dataclasses import dataclass
@@ -51,8 +42,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-
-logger = logging.getLogger(__name__)
 
 MODE_WAYPOINT = 0
 MODE_LANE = 1
@@ -74,168 +63,6 @@ LATERAL_GAIN = 0.15
 
 MAX_RULES = 8
 MAX_WAYPOINTS = 4
-
-ENV_FLAG = "FALSIFY_NUMBA"
-
-
-def _integrate_impl(
-    mode,
-    pos,
-    heading,
-    speed,
-    cruise,
-    accel,
-    waypoints,
-    wp_count,
-    goal_x,
-    lane_y,
-    rule_type,
-    rule_target,
-    rule_f,
-    dt,
-    max_frames,
-    crash_dist,
-    capture_radius,
-    lat_gain,
-    out_pos,
-    out_heading,
-    out_speed,
-):
-    # The numba source, and run uncompiled, the oracle for integrate_python.
-    n = mode.shape[0]
-    n_rules = rule_type.shape[1]
-    wp_idx = np.zeros(n, dtype=np.int64)
-    done = np.zeros(n, dtype=np.int64)
-    rule_state = np.zeros((n, n_rules), dtype=np.float64)
-    prev = np.empty((n, 2), dtype=np.float64)
-    frames = 0
-    term = CODE_TIME_LIMIT
-
-    for k in range(max_frames):
-        for a in range(n):
-            out_pos[k, a, 0] = pos[a, 0]
-            out_pos[k, a, 1] = pos[a, 1]
-            out_heading[k, a] = heading[a]
-            out_speed[k, a] = speed[a]
-        frames = k + 1
-
-        # Goal bookkeeping on the recorded state.
-        for a in range(n):
-            if mode[a] == MODE_WAYPOINT:
-                while wp_idx[a] < wp_count[a] and (
-                    math.hypot(
-                        waypoints[a, wp_idx[a], 0] - pos[a, 0],
-                        waypoints[a, wp_idx[a], 1] - pos[a, 1],
-                    )
-                    < capture_radius
-                ):
-                    wp_idx[a] += 1
-                if wp_idx[a] >= wp_count[a]:
-                    done[a] = 1
-            else:
-                if pos[a, 0] >= goal_x[a]:
-                    done[a] = 1
-
-        crashed = False
-        for a in range(1, n):
-            if (
-                math.hypot(pos[a, 0] - pos[0, 0], pos[a, 1] - pos[0, 1])
-                < crash_dist
-            ):
-                crashed = True
-        if crashed:
-            term = CODE_CRASH
-            break
-        all_done = True
-        for a in range(n):
-            if done[a] == 0:
-                all_done = False
-        if all_done:
-            term = CODE_CLEARED
-            break
-        if k == max_frames - 1:
-            term = CODE_TIME_LIMIT
-            break
-
-        # Controls read the frame-k snapshot so agent order cannot matter.
-        for a in range(n):
-            prev[a, 0] = pos[a, 0]
-            prev[a, 1] = pos[a, 1]
-
-        for a in range(n):
-            target_speed = cruise[a]
-            braking = False
-            brake_rate = 0.0
-            holding = False
-            y_des = lane_y[a]
-            for r in range(n_rules):
-                rt = rule_type[a, r]
-                if rt == RULE_NONE:
-                    continue
-                tgt = rule_target[a, r]
-                f0 = rule_f[a, r, 0]
-                f1 = rule_f[a, r, 1]
-                f2 = rule_f[a, r, 2]
-                gap = math.hypot(prev[tgt, 0] - prev[a, 0], prev[tgt, 1] - prev[a, 1])
-                if rt == RULE_BRAKE_NEAR:
-                    if gap < f0:
-                        braking = True
-                        if f1 > brake_rate:
-                            brake_rate = f1
-                elif rt == RULE_WAIT_UNTIL_NEAR:
-                    if rule_state[a, r] == 0.0 and gap < f0:
-                        rule_state[a, r] = 1.0
-                    if rule_state[a, r] == 0.0:
-                        holding = True
-                elif rt == RULE_BOOST_ON_LATERAL:
-                    if rule_state[a, r] == 0.0 and abs(prev[tgt, 1] - f2) > f0:
-                        rule_state[a, r] = 1.0
-                    if rule_state[a, r] == 1.0:
-                        target_speed = f1
-                elif rt == RULE_LANE_CHANGE:
-                    if rule_state[a, r] == 0.0 and gap < f0:
-                        rule_state[a, r] = 1.0
-                    if rule_state[a, r] == 1.0 and prev[a, 0] > prev[tgt, 0] + f2:
-                        rule_state[a, r] = 2.0
-                    if rule_state[a, r] == 1.0:
-                        y_des = f1
-                elif rt == RULE_BRAKE_AHEAD:
-                    dx = prev[tgt, 0] - prev[a, 0]
-                    dy = prev[tgt, 1] - prev[a, 1]
-                    along = dx * math.cos(heading[a]) + dy * math.sin(heading[a])
-                    cross = -dx * math.sin(heading[a]) + dy * math.cos(heading[a])
-                    if 0.0 < along < f0 and abs(cross) < f2:
-                        braking = True
-                        if f1 > brake_rate:
-                            brake_rate = f1
-            if holding:
-                target_speed = 0.0
-            if braking:
-                target_speed = 0.0
-
-            if mode[a] == MODE_WAYPOINT:
-                if wp_idx[a] < wp_count[a]:
-                    heading[a] = math.atan2(
-                        waypoints[a, wp_idx[a], 1] - pos[a, 1],
-                        waypoints[a, wp_idx[a], 0] - pos[a, 0],
-                    )
-            else:
-                heading[a] = math.atan2(lat_gain * (y_des - pos[a, 1]), 1.0)
-
-            if speed[a] < target_speed:
-                s = speed[a] + accel[a] * dt
-                speed[a] = s if s < target_speed else target_speed
-            elif speed[a] > target_speed:
-                rate = brake_rate if braking else accel[a]
-                s = speed[a] - rate * dt
-                speed[a] = s if s > target_speed else target_speed
-                if speed[a] < 0.0:
-                    speed[a] = 0.0
-
-            pos[a, 0] += speed[a] * math.cos(heading[a]) * dt
-            pos[a, 1] += speed[a] * math.sin(heading[a]) * dt
-
-    return frames, term
 
 
 # Rule names by type, as a generated kernel's file name spells them.
@@ -300,7 +127,7 @@ def _track(emit, depth, a, crash=True):
     emit(depth + 2, f"{c} += {dx}, {dy}", f"{qm}, {qb} = -inf, inf")
     emit(depth + 1, f"elif (b := q * tie) < {qm}:")
     emit(depth + 2, f"{c} = [{dx}, {dy}]", f"{qm}, {qb} = q, b")
-    emit(depth + 1, "else:")
+    emit(depth + 1, f"elif not {c} or {dx} != {c}[-2] or {dy} != {c}[-1]:")
     emit(depth + 2, f"{c} += {dx}, {dy}", f"if q < {qm}:")
     emit(depth + 3, f"{qm}, {qb} = q, b")
     if crash:
@@ -309,12 +136,14 @@ def _track(emit, depth, a, crash=True):
 
 
 def _kernel_source(modes, rules, minima=False) -> str:
-    """``_integrate_impl`` unrolled for one structure, as Python source.
+    """The kernel for one structure, as Python source.
 
     Agent state lives in locals (``x0, y0, h0, v0, ...``) and each rule is
     inlined with its type resolved; the floats stay arguments.  Every float
-    goes through the same operations in the same order as in
-    ``_integrate_impl``.
+    goes through the same operations in the same order as in the reference,
+    ``integrate_arrays`` in tests/kinematics_oracle.py, so the recorded
+    trajectories are bit for bit the reference's; a change to the
+    arithmetic here is made there too.
 
     The flag picks what the kernel returns.  Without ``minima`` it records
     every frame's positions, headings and speeds, flat, as ``(pos, heading,
@@ -339,11 +168,15 @@ def _kernel_source(modes, rules, minima=False) -> str:
       is below qm (so below every kept q), and appends any other.  So every
       frame left out has a hypot no smaller than one kept at the time,
       and, by induction, than one kept at the end: the minimum survives.
+    - No leg equal to the last one kept is appended (the ego stopped short
+      of a stopped agent, say): it has the same q and hypot, and that
+      frame already ran the crash test.
     - A q that is NaN or below TINY makes the agent keep every later
-      frame, and nothing is dropped after it.  A frame whose hypot is NaN
-      has a NaN q, so NaN propagates as ``ndarray.min()`` propagates it.
-    - The crash test runs only on kept frames.  A skipped frame's hypot is
-      no smaller than that of an earlier frame, which did not crash.
+      frame, repeats aside.  A frame whose hypot is NaN has a NaN q, so
+      NaN propagates as ``ndarray.min()`` propagates it.
+    - The crash test runs on every frame that is not skipped.  A skipped
+      frame's hypot is no smaller than that of an earlier frame, which did
+      not crash.
     - Agent 0's own leg ``x0 - x0`` is 0.0 while x0 is finite and NaN
       once it is not.  A position only ever has a step added to it, so a
       non-finite coordinate stays non-finite, and the last frame's leg
@@ -541,34 +374,21 @@ def _compiled(structure, minima=False):
         return _kernels[key]
 
 
-def numba_requested() -> bool:
-    """Whether the env flag allows the compiled backend (default yes)."""
-    flag = os.environ.get(ENV_FLAG, "1").strip().lower()
-    return flag not in ("0", "false", "no", "off")
-
-
-def _compile_kernel():
-    try:
-        from numba import njit
-    except ImportError:  # pragma: no cover - numba is an install-time choice
-        logger.info("numba unavailable; using the Python integrator")
-        return None
-    return njit(cache=True, nogil=True)(_integrate_impl)
-
-
-integrate_numba = _compile_kernel() if numba_requested() else None
-
-
 def active_backend() -> str:
-    return "numba" if integrate_numba is not None else "python"
+    """``"python"``: the one kernel's name.
+
+    Its only reader is the benchmark (perfbench), which reports it.
+    """
+    return "python"
 
 
 def kernel_functions() -> dict:
-    """The available integrator backends by name; run_scene calls them."""
-    out = {"python": integrate_python}
-    if integrate_numba is not None:
-        out["numba"] = integrate_numba
-    return out
+    """``{"python": run_scene}``: the one kernel, by name.
+
+    Its only reader is the benchmark (perfbench), whose numba section finds
+    no "numba" entry here and reports itself skipped.
+    """
+    return {"python": run_scene}
 
 
 @dataclass
@@ -579,7 +399,7 @@ class Scene:
     lists it keeps: one entry per agent, positions and waypoints as
     ``(x, y)`` tuples, and ``rules[a]`` as agent a's
     ``(type, target, f0, f1, f2)`` tuples in the order they were added.
-    The integrators read a Scene and never write to it.
+    The kernel reads a Scene and never writes to it.
     """
 
     agents: tuple[str, ...]
@@ -719,66 +539,28 @@ def run_scene(
     scene: Scene,
     dt: float = 0.1,
     max_frames: int = 300,
-    backend: str | None = None,
     minima: bool = False,
 ):
     """Integrate a scene; returns (positions, headings, speeds, termination code).
 
-    Output arrays hold the recorded frames only.  With ``minima`` nothing
-    is recorded, and the result is ``(legs, counts, code)``: the
-    legs the minima kernel keeps, an (n, 2) array agent by agent, and how
-    many each agent kept (see ``_kernel_source``).  ``min_separations``
-    reduces them.  ``backend`` forces "python" or "numba"; default follows
-    the environment flag.
+    Runs the kernel generated for the scene's structure (``_structure``):
+    straight-line Python from ``_kernel_source``, which reads the Scene's
+    lists as they are and records each trajectory flat, frame after frame.
+    Here those lists are shaped into arrays of the recorded frames only.
+    Each is packed into bytes and viewed as float64 in one copy, so the
+    arrays are read-only.  With ``minima`` nothing is recorded, and the
+    result is ``(legs, counts, code)``: the legs the minima kernel keeps,
+    an (n, 2) array agent by agent packed the same way, and how many each
+    agent kept (see ``_kernel_source``).  ``min_separations`` reduces them.
     """
     if not dt > 0:
         raise DomainError(f"dt must be positive, got {dt}")
     if max_frames < 1:
         raise DomainError(f"max_frames must be >= 1, got {max_frames}")
-    fns = kernel_functions()
-    if backend is None:
-        backend = active_backend()
-    elif backend not in fns:
-        raise DomainError(f"backend {backend!r} unavailable; have {sorted(fns)}")
-    if backend == "numba":
-        out = _run_arrays(integrate_numba, scene, float(dt), int(max_frames))
-        return _recorded_legs(out) if minima else out
-    return integrate_python(scene, float(dt), int(max_frames), minima)
-
-
-def _recorded_legs(recorded):
-    """``run_scene(minima=True)``'s result from a recorded run: every frame's legs."""
-    pos, _, _, code = recorded
-    frames, n, _ = pos.shape
-    legs = (pos[:, :1] - pos).transpose(1, 0, 2).reshape(-1, 2)
-    return legs, (frames,) * n, code
-
-
-def min_separations(legs: np.ndarray, counts) -> np.ndarray:
-    """Each agent's smallest ``np.hypot`` over its legs, as ``run_scene`` keeps them.
-
-    ``counts[a]`` consecutive rows of ``legs`` belong to agent a; every
-    count is at least 1.  NaN propagates as it does through ``ndarray.min``.
-    """
-    seps = np.hypot(legs[:, 0], legs[:, 1])
-    return np.minimum.reduceat(seps, [0, *itertools.accumulate(counts[:-1])])
-
-
-def integrate_python(scene: Scene, dt: float, max_frames: int, minima: bool = False):
-    """The interpreted backend: run the scene's generated kernel.
-
-    The kernel for the scene's structure (``_structure``) is straight-line
-    Python from ``_kernel_source``.  It reads the Scene's lists as they
-    are and records each trajectory flat, frame after frame; here they are
-    shaped into the same values ``_run_arrays`` returns, bit for bit.  Each
-    list is packed into bytes and viewed as float64 in one copy, so the
-    arrays are read-only.  With ``minima`` the kernel keeps legs instead,
-    which are packed the same way.
-    """
     out = _compiled(_structure(scene), minima)(
         scene.pos, scene.heading, scene.speed, scene.cruise, scene.accel,
-        scene.waypoints, scene.goal_x, scene.lane_y, scene.rules, dt, max_frames,
-        CRASH_DISTANCE, CAPTURE_RADIUS, LATERAL_GAIN,
+        scene.waypoints, scene.goal_x, scene.lane_y, scene.rules,
+        float(dt), int(max_frames), CRASH_DISTANCE, CAPTURE_RADIUS, LATERAL_GAIN,
     )
     if minima:
         flat, counts, code = out
@@ -793,45 +575,15 @@ def integrate_python(scene: Scene, dt: float, max_frames: int, minima: bool = Fa
     )
 
 
+def min_separations(legs: np.ndarray, counts) -> np.ndarray:
+    """Each agent's smallest ``np.hypot`` over its legs, as ``run_scene`` keeps them.
+
+    ``counts[a]`` consecutive rows of ``legs`` belong to agent a; every
+    count is at least 1.  NaN propagates as it does through ``ndarray.min``.
+    """
+    seps = np.hypot(legs[:, 0], legs[:, 1])
+    return np.minimum.reduceat(seps, [0, *itertools.accumulate(counts[:-1])])
+
+
 def _packed(flat: list) -> np.ndarray:
     return np.frombuffer(struct.pack(f"{len(flat)}d", *flat), dtype=np.float64)
-
-
-def _run_arrays(fn, scene: Scene, dt: float, max_frames: int):
-    """Run an array kernel (``_integrate_impl``, compiled or not) on a scene.
-
-    Packs the Scene's lists into fresh arrays: waypoints padded to
-    MAX_WAYPOINTS, and each agent's rules padded with RULE_NONE slots to
-    the longest rule list.
-    """
-    n = len(scene.agents)
-    n_rules = max(1, max(map(len, scene.rules)))
-    waypoints = np.zeros((n, MAX_WAYPOINTS, 2))
-    wp_count = np.zeros(n, dtype=np.int64)
-    rule_type = np.zeros((n, n_rules), dtype=np.int64)
-    rule_target = np.zeros((n, n_rules), dtype=np.int64)
-    rule_f = np.zeros((n, n_rules, 3))
-    for a in range(n):
-        wp_count[a] = len(scene.waypoints[a])
-        for w, xy in enumerate(scene.waypoints[a]):
-            waypoints[a, w] = xy
-        for r, (rt, tgt, *floats) in enumerate(scene.rules[a]):
-            rule_type[a, r] = rt
-            rule_target[a, r] = tgt
-            rule_f[a, r] = floats
-    out_pos = np.empty((max_frames, n, 2))
-    out_heading = np.empty((max_frames, n))
-    out_speed = np.empty((max_frames, n))
-    f64 = np.float64
-    frames, code = fn(
-        np.array(scene.mode, dtype=np.int64),
-        np.array(scene.pos, dtype=f64).reshape(n, 2),
-        np.array(scene.heading, dtype=f64), np.array(scene.speed, dtype=f64),
-        np.array(scene.cruise, dtype=f64), np.array(scene.accel, dtype=f64),
-        waypoints, wp_count,
-        np.array(scene.goal_x, dtype=f64), np.array(scene.lane_y, dtype=f64),
-        rule_type, rule_target, rule_f,
-        dt, max_frames, CRASH_DISTANCE, CAPTURE_RADIUS, LATERAL_GAIN,
-        out_pos, out_heading, out_speed,
-    )
-    return out_pos[:frames], out_heading[:frames], out_speed[:frames], int(code)

@@ -547,17 +547,11 @@ def build_scene(cfg: ScenarioConfig, values: Sequence[float]) -> Scene:
     return REGISTRY[cfg.scenario_id].builder(cfg, bind_values(cfg, values))
 
 
-def simulate(
-    cfg: ScenarioConfig,
-    sample: SampleVector | Sequence[float],
-    backend: str | None = None,
-) -> Trajectory:
+def simulate(cfg: ScenarioConfig, sample: SampleVector | Sequence[float]) -> Trajectory:
     """Run one deterministic simulation of a sampled scenario."""
     values = sample.values if isinstance(sample, SampleVector) else sample
     scene = build_scene(cfg, values)
-    pos, heading, speed, code = run_scene(
-        scene, dt=cfg.dt, max_frames=cfg.max_frames, backend=backend
-    )
+    pos, heading, speed, code = run_scene(scene, dt=cfg.dt, max_frames=cfg.max_frames)
     return Trajectory(
         scene.agents, pos, heading, speed, cfg.dt,
         TERMINATION_BY_CODE[code], max_frames=cfg.max_frames,

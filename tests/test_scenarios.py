@@ -8,12 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from falsify import kinematics as kin
 from falsify import monitor as mo
 from falsify import scenarios as sc
 from falsify.errors import ConfigError
 
-HAS_NUMBA = "numba" in kin.kernel_functions()
 
 ALL_IDS = sc.scenario_ids(catalog_only=False)
 CATALOG_IDS = sc.scenario_ids()
@@ -190,17 +188,6 @@ def test_simulation_deterministic(sid):
     assert a.termination == b.termination
     assert np.array_equal(a.positions, b.positions)
     assert np.array_equal(a.speeds, b.speeds)
-
-
-@pytest.mark.skipif(not HAS_NUMBA, reason="compiled backend not installed")
-@pytest.mark.parametrize("sid", ALL_IDS)
-def test_backends_agree_per_scenario(sid):
-    cfg = sc.ScenarioConfig(sid)
-    values = sc.known_unsafe_values(cfg)
-    py = sc.simulate(cfg, values, backend="python")
-    nb = sc.simulate(cfg, values, backend="numba")
-    assert py.termination == nb.termination
-    assert np.array_equal(py.positions, nb.positions)
 
 
 # ---------------------------------------------------------------------------
