@@ -55,7 +55,7 @@ def load_experiment_config(name: str) -> CampaignConfig:
 
 
 def _counterexamples(result: CampaignResult) -> int:
-    return sum(1 for r in result.records if r.is_counterexample)
+    return len(result.error_table)
 
 
 def _diversity(result: CampaignResult) -> int:

@@ -45,15 +45,10 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ConfigError, FalsifyError
-from .monitor import Specification, evaluate, falsification_vector
+from .monitor import Specification, evaluate
 from .rulebook import FalsificationVector, Rulebook
-from .samplers import DEFAULT_ALPHA, SAMPLER_NAMES, make_sampler
-from .scenarios import (
-    ScenarioConfig,
-    feature_bindings,
-    simulate_minima,
-    simulate_with_delay,
-)
+from .samplers import DEFAULT_ALPHA, SAMPLER_NAMES, SampleFeedback, make_sampler
+from .scenarios import ScenarioConfig, feature_bindings, simulate_minima
 from .space import FeatureSpace, SampleVector
 
 logger = logging.getLogger(__name__)
@@ -161,27 +156,15 @@ class CampaignConfig:
 
 
 @dataclass(frozen=True)
-class SampleRecord:
+class SampleRecord(SampleFeedback):
     """One completed simulation, as stored in the error/safe tables."""
 
     id: int
     worker: int
     t_dispatch: float
     t_complete: float
-    sample: SampleVector
-    rho: tuple[float, ...]
-    b: tuple[bool, ...]
-    is_counterexample: bool
     termination: str
     sim_seconds: float
-
-    def __post_init__(self):
-        if self.is_counterexample != any(self.b):
-            raise ConfigError(
-                "record flag is_counterexample must match its bit vector"
-            )
-        if len(self.rho) != len(self.b):
-            raise ConfigError("rho and b must have equal length")
 
     def to_json_dict(self) -> dict:
         return {
@@ -200,7 +183,8 @@ class SampleRecord:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "SampleRecord":
-        return cls(
+        """Read one record; its ``b`` and ``counterexample`` must match its rho."""
+        record = cls(
             id=int(doc["id"]),
             worker=int(doc["worker"]),
             t_dispatch=float(doc["t_dispatch"]),
@@ -210,11 +194,13 @@ class SampleRecord:
                 tuple(int(b) for b in doc["buckets"]),
             ),
             rho=tuple(float(r) for r in doc["rho"]),
-            b=tuple(bool(x) for x in doc["b"]),
-            is_counterexample=bool(doc["counterexample"]),
             termination=str(doc["termination"]),
             sim_seconds=float(doc["sim_seconds"]),
         )
+        if (tuple(bool(x) for x in doc["b"]) != record.b
+                or bool(doc["counterexample"]) != record.is_counterexample):
+            raise ConfigError(f"record {record.id}: b and counterexample disagree with rho")
+        return record
 
 
 @dataclass(frozen=True)
@@ -266,10 +252,14 @@ class CampaignInterrupted(KeyboardInterrupt):
 
 
 def default_simulator(config: CampaignConfig, sample: SampleVector):
-    """Each agent's minimum separation for one sample, with no trajectory."""
-    if config.delay > 0:
-        return simulate_with_delay(config.scenario, sample, config.delay)
-    return simulate_minima(config.scenario, sample)
+    """Each agent's minimum separation for one sample, with no trajectory; a
+    config ``delay`` pads the call to at least that many seconds."""
+    t0 = time.perf_counter()
+    minima = simulate_minima(config.scenario, sample)
+    remaining = config.delay - (time.perf_counter() - t0)
+    if remaining > 0:
+        time.sleep(remaining)
+    return minima
 
 
 class _Runner:
@@ -318,11 +308,11 @@ class _Runner:
     def run(self, sample: SampleVector) -> tuple:
         """Simulate and evaluate one sample; returns its outcome for handle().
 
-        The outcome is ("done", rho, bits, termination, sim_seconds,
-        t_complete), or ("failed", message) when the simulation or the
-        monitor raised an exception that is not a package error.  A package
-        error propagates.  Called on the coordinator at W=1 and on a worker
-        at W>1, so it touches no coordinator state.
+        The outcome is ("done", rho, termination, sim_seconds, t_complete),
+        or ("failed", message) when the simulation or the monitor raised an
+        exception that is not a package error.  A package error propagates.
+        Called on the coordinator at W=1 and on a worker at W>1, so it
+        touches no coordinator state.
         """
         t0 = time.perf_counter()
         try:
@@ -332,17 +322,15 @@ class _Runner:
             raise
         except Exception as exc:  # noqa: BLE001 - sample isolation boundary
             return ("failed", f"{type(exc).__name__}: {exc}")
-        sim_seconds = time.perf_counter() - t0
-        rho = tuple(float(r) for r in rho)
-        return ("done", rho, falsification_vector(rho), traj.termination,
-                sim_seconds, time.time())
+        return ("done", tuple(float(r) for r in rho), traj.termination,
+                time.perf_counter() - t0, time.time())
 
     def handle(self, task: tuple, worker: int, outcome: tuple) -> None:
         """Absorb a finished task, count a failed one, or raise a worker's abort."""
         sid, t_dispatch, sample = task
         kind = outcome[0]
         if kind == "done":
-            _, rho, bits, termination, sim_seconds, t_complete = outcome
+            _, rho, termination, sim_seconds, t_complete = outcome
             self.absorb(SampleRecord(
                 id=sid,
                 worker=worker,
@@ -350,8 +338,6 @@ class _Runner:
                 t_complete=t_complete,
                 sample=sample,
                 rho=rho,
-                b=bits,
-                is_counterexample=any(bits),
                 termination=termination,
                 sim_seconds=sim_seconds,
             ))
@@ -661,18 +647,35 @@ def _artifact(run_dir, name: str) -> Path:
     return path
 
 
+def _malformed(where, exc: Exception) -> ConfigError:
+    """The error for an artifact that does not parse or lacks a key."""
+    what = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+    return ConfigError(f"malformed {where}: {what}")
+
+
+def _read_json(run_dir, name: str):
+    path = _artifact(run_dir, name)
+    try:
+        return json.loads(path.read_text())
+    except ValueError as exc:
+        raise _malformed(path, exc) from exc
+
+
 def read_records(run_dir) -> list[SampleRecord]:
+    path = _artifact(run_dir, RECORDS_JSONL)
     records = []
-    with _artifact(run_dir, RECORDS_JSONL).open() as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                records.append(SampleRecord.from_json_dict(json.loads(line)))
+    with path.open() as fh:
+        for n, line in enumerate(fh, 1):
+            if line.strip():
+                try:
+                    records.append(SampleRecord.from_json_dict(json.loads(line)))
+                except (KeyError, TypeError, ValueError) as exc:
+                    raise _malformed(f"{path}, line {n}", exc) from exc
     return records
 
 
 def read_summary(run_dir) -> dict:
-    return json.loads(_artifact(run_dir, SUMMARY_JSON).read_text())
+    return _read_json(run_dir, SUMMARY_JSON)
 
 
 def read_result(run_dir) -> CampaignResult:
@@ -680,12 +683,15 @@ def read_result(run_dir) -> CampaignResult:
     from .config import parse_config  # config.py builds on this module
 
     summary = read_summary(run_dir)
-    return CampaignResult(
-        config=parse_config(summary["config"]),
-        records=tuple(read_records(run_dir)),
-        maximal=tuple(tuple(bits) for bits in summary["maximal"]),
-        snapshot=json.loads(_artifact(run_dir, SNAPSHOT_JSON).read_text()),
-        wall_seconds=summary["totals"]["wall_seconds"],
-        dispatched=summary["dispatched"],
-        failed=summary["failed"],
-    )
+    try:
+        return CampaignResult(
+            config=parse_config(summary["config"]),
+            records=tuple(read_records(run_dir)),
+            maximal=tuple(tuple(bits) for bits in summary["maximal"]),
+            snapshot=_read_json(run_dir, SNAPSHOT_JSON),
+            wall_seconds=summary["totals"]["wall_seconds"],
+            dispatched=summary["dispatched"],
+            failed=summary["failed"],
+        )
+    except (KeyError, TypeError) as exc:
+        raise _malformed(Path(run_dir) / SUMMARY_JSON, exc) from exc

@@ -153,7 +153,7 @@ def _kernel_source(modes, rules, minima=False) -> str:
     ``x0 - xa, y0 - ya`` flat, agent by agent, and ``counts[a]`` how many
     frames agent a kept (agent 0 keeps its own last-frame leg).  Applying
     ``np.hypot`` to those legs and taking each agent's minimum gives the
-    minimum of ``Trajectory.ego_separations`` bit for bit:
+    minimum of ``Trajectory.separations(EGO, agent)`` bit for bit:
 
     - q = dx*dx + dy*dy is within a factor (1 +- u)**2 of the exact
       s = dx**2 + dy**2 (u = 2**-53) while q >= TINY = 2**-900, so no

@@ -14,7 +14,6 @@ was violated somewhere along the run.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -84,11 +83,6 @@ class Trajectory:
     def frame_count(self) -> int:
         return self.positions.shape[0]
 
-    @property
-    def duration(self) -> float:
-        """Simulated seconds covered by the run (frame 0 is the start state)."""
-        return (self.frame_count - 1) * self.dt
-
     def agent_index(self, name: str) -> int:
         return _agent_index(self.agents, name)
 
@@ -98,24 +92,9 @@ class Trajectory:
         delta = self.positions[:, ia, :] - self.positions[:, ib, :]
         return np.hypot(delta[:, 0], delta[:, 1])
 
-    @cached_property
-    def ego_separations(self) -> np.ndarray:
-        """(F, A): ``separations(EGO, agent)`` for every agent, computed once.
-
-        Each column is bit for bit what ``separations`` returns.  The table
-        is laid out agent-major, so numpy runs each step in long contiguous
-        loops and each agent's column is contiguous.
-        """
-        ego = self.agents.index(EGO)
-        xy = self.positions.transpose(2, 1, 0)  # (2, A, F)
-        delta = np.subtract(xy[:, ego:ego + 1], xy, order="C")
-        sep = np.hypot(delta[0], delta[1]).T
-        sep.setflags(write=False)
-        return sep
-
     def min_separation(self, agent: str) -> float:
         """The smallest of ``separations(EGO, agent)`` over the run."""
-        return float(self.ego_separations[:, self.agent_index(agent)].min())
+        return float(self.separations(EGO, agent).min())
 
 
 class SeparationMinima:
@@ -255,7 +234,7 @@ def evaluate(spec: Specification, run: Run) -> np.ndarray:
 
 def falsification_vector(rho: Sequence[float]) -> tuple[bool, ...]:
     """bits[j] is True iff metric j was violated; rho == 0 counts as satisfied."""
-    return tuple(bool(r < 0.0) for r in np.asarray(rho, dtype=float))
+    return tuple([float(r) < 0.0 for r in rho])
 
 
 def is_counterexample(rho: Sequence[float]) -> bool:

@@ -31,7 +31,7 @@ tried first.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -47,30 +47,21 @@ SAMPLER_NAMES = ("uniform", "halton", "cross-entropy", "mab")
 
 @dataclass(frozen=True)
 class SampleFeedback:
-    """Outcome of one simulated sample, as consumed by samplers."""
+    """Outcome of one simulated sample; its verdict is derived from rho."""
 
     sample: SampleVector
     rho: tuple[float, ...]
-    b: FalsificationVector
-    is_counterexample: bool
+    b: FalsificationVector = field(init=False)  # b[j] is rho[j] < 0
+    is_counterexample: bool = field(init=False)  # any(b)
 
     def __post_init__(self):
-        if len(self.rho) != len(self.b):
-            raise DomainError("rho and b must have equal length")
-        if self.is_counterexample != any(self.b):
-            raise DomainError(
-                "is_counterexample must equal 'any metric falsified'"
-            )
+        bits = falsification_vector(self.rho)
+        object.__setattr__(self, "b", bits)
+        object.__setattr__(self, "is_counterexample", any(bits))
 
     @classmethod
     def from_rho(cls, sample: SampleVector, rho) -> "SampleFeedback":
-        bits = falsification_vector(rho)
-        return cls(
-            sample=sample,
-            rho=tuple(float(r) for r in rho),
-            b=bits,
-            is_counterexample=any(bits),
-        )
+        return cls(sample, tuple(float(r) for r in rho))
 
 
 def compute_ucb(mu_hat: float, visits: int, t: int) -> float:
@@ -144,7 +135,7 @@ class Sampler:
             if not 0 <= j < space.bucket_count:
                 raise StateError(f"bucket index {j} out of range (dimension {i})")
         if feedback.is_counterexample:
-            bits = tuple(bool(x) for x in feedback.b)
+            bits = feedback.b
             if bits not in self.maximal:
                 if self.rulebook is None:
                     raise StateError(f"{self.name!r} sampler has no rulebook")
@@ -281,7 +272,7 @@ class CrossEntropySampler(Sampler):
         return {"alpha": self.alpha, "weights": self.weights.tolist()}
 
     def _restore_extra(self, snap):
-        self.weights = np.array(snap["weights"], dtype=float)
+        self.weights = _table(snap["weights"], self.weights)
 
 
 class MultiArmedBanditSampler(Sampler):
@@ -326,10 +317,9 @@ class MultiArmedBanditSampler(Sampler):
         if t is None:
             t = self.issued + 1
         visits = self.visits
-        bonus = np.full(visits.shape, np.inf)
-        seen = visits > 0
-        bonus[seen] = np.sqrt((2.0 / visits[seen]) * math.log(t))
-        return np.where(seen, self.mu_hat() + bonus, np.inf)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            q = self._count_sum / visits + np.sqrt(2.0 / visits * math.log(t))
+        return np.where(visits > 0, q, np.inf)
 
     # -- sampling ----------------------------------------------------------
 
@@ -360,7 +350,7 @@ class MultiArmedBanditSampler(Sampler):
             self.visits[i, j] += 1
         if not feedback.is_counterexample:
             return
-        key = tuple(bool(x) for x in feedback.b)
+        key = feedback.b
         if key not in self.maximal:
             return  # strictly dominated by a member: not counted
         if key not in self.counts:
@@ -395,12 +385,20 @@ class MultiArmedBanditSampler(Sampler):
 
     def _restore_extra(self, snap):
         self.init_cursor = int(snap["init_cursor"])
-        self.visits = np.array(snap["visits"], dtype=np.int64)
+        self.visits = _table(snap["visits"], self.visits)
         self.counts = {
-            key: np.array(matrix, dtype=np.int64)
-            for key, matrix in zip(self.maximal, snap["maximal_counts"])
+            key: _table(matrix, self.visits)
+            for key, matrix in zip(self.maximal, snap["maximal_counts"], strict=True)
         }
         self._count_sum = sum(self.counts.values(), np.zeros_like(self.visits))
+
+
+def _table(rows, like: np.ndarray) -> np.ndarray:
+    """A snapshot's table, read as an array of ``like``'s dtype and shape."""
+    table = np.array(rows, dtype=like.dtype)
+    if table.shape != like.shape:
+        raise ValueError(f"table of shape {table.shape}, expected {like.shape}")
+    return table
 
 
 def make_sampler(
@@ -429,13 +427,8 @@ def restore(
     space: FeatureSpace,
     rulebook: Rulebook | None = None,
 ) -> Sampler:
-    """Rebuild a sampler from snapshot(); continues the exact sequence."""
-    try:
-        name = snap["sampler"]
-        seed = int(snap["seed"])
-        maximal = [tuple(bool(b) for b in bits) for bits in snap["maximal"]]
-    except (KeyError, TypeError) as exc:
-        raise StateError(f"malformed sampler snapshot: {exc}") from exc
+    """Rebuild a sampler from snapshot() to continue its exact sequence;
+    a missing or malformed key raises StateError."""
     if snap.get("dimensions") != list(space.names):
         raise StateError(
             f"snapshot dimensions {snap.get('dimensions')} do not match "
@@ -446,10 +439,16 @@ def restore(
             f"snapshot bucket count {snap.get('bucket_count')} does not "
             f"match the feature space ({space.bucket_count})"
         )
-    alpha = float(snap.get("alpha", DEFAULT_ALPHA))
-    sampler = make_sampler(name, space, seed, rulebook=rulebook, alpha=alpha)
-    sampler.issued = int(snap["issued"])
-    sampler.completed = int(snap["completed"])
-    sampler.maximal = maximal  # read back as written, not offered again
-    sampler._restore_extra(snap)
+    try:
+        sampler = make_sampler(snap["sampler"], space, int(snap["seed"]), rulebook,
+                               float(snap.get("alpha", DEFAULT_ALPHA)))
+        sampler.issued = int(snap["issued"])
+        sampler.completed = int(snap["completed"])
+        # Read back as written, not offered to the rulebook again.
+        sampler.maximal = [tuple(bool(b) for b in bits) for bits in snap["maximal"]]
+        sampler._restore_extra(snap)
+    except KeyError as exc:
+        raise StateError(f"malformed sampler snapshot: missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise StateError(f"malformed sampler snapshot: {exc}") from exc
     return sampler

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import json
 import math
-import time
 from importlib import resources
 from dataclasses import dataclass
 from typing import Callable, ClassVar, Mapping, Sequence
@@ -605,23 +604,3 @@ def known_unsafe_values(cfg: ScenarioConfig) -> list[float]:
             f"{fixture['scenario']} and lacks features {missing}"
         )
     return [stored[f.name] for f in bindings]
-
-
-def simulate_with_delay(
-    cfg: ScenarioConfig,
-    sample: SampleVector | Sequence[float],
-    artificial_delay: float,
-) -> SeparationMinima:
-    """simulate_minima(), padded so the call takes at least ``artificial_delay`` s.
-
-    Stands in for an expensive simulator when measuring orchestration
-    throughput; the returned minima are identical to simulate_minima()'s.
-    """
-    if artificial_delay < 0:
-        raise ConfigError(f"artificial delay must be >= 0, got {artificial_delay}")
-    t0 = time.perf_counter()
-    minima = simulate_minima(cfg, sample)
-    remaining = artificial_delay - (time.perf_counter() - t0)
-    if remaining > 0:
-        time.sleep(remaining)
-    return minima

@@ -1,8 +1,7 @@
 """Sampling domain: named continuous dimensions split into equal-width buckets.
 
 Every dimension shares the same bucket count N.  Values live in domain
-units; helpers convert between raw values, unit-cube coordinates and
-bucket indices.
+units; helpers convert between raw values and bucket indices.
 """
 
 from __future__ import annotations
@@ -147,31 +146,6 @@ class FeatureSpace:
 
     def make_sample(self, values: Sequence[float]) -> SampleVector:
         return SampleVector(tuple(float(v) for v in values), self.buckets_of(values))
-
-    def normalize(self, values: Sequence[float]) -> np.ndarray:
-        """Map raw values into the unit cube."""
-        self._check_length(values)
-        out = np.empty(self.d)
-        for i, v in enumerate(values):
-            d = self.dims[i]
-            if not d.lo <= v <= d.hi:
-                raise DomainError(
-                    f"value {v} outside range [{d.lo}, {d.hi}] of dimension {d.name!r}"
-                )
-            out[i] = (v - d.lo) / d.width
-        return out
-
-    def denormalize(self, unit: Sequence[float]) -> np.ndarray:
-        """Inverse of normalize; accepts coordinates in [0, 1]."""
-        self._check_length(unit)
-        out = np.empty(self.d)
-        for i, u in enumerate(unit):
-            if not 0.0 <= u <= 1.0:
-                raise DomainError(f"unit coordinate {u} outside [0, 1] (dim {i})")
-            d = self.dims[i]
-            # lo + width can round past hi when lo dwarfs hi in magnitude.
-            out[i] = min(d.lo + u * d.width, d.hi)
-        return out
 
     def _check_length(self, values: Sequence[float]) -> None:
         if len(values) != self.d:

@@ -207,12 +207,11 @@ def test_campaign_path_matches_the_trajectory_path():
         runner = ca._Runner(config)
         for values in points:
             sample = space.make_sample(values)
-            kind, rho, bits, termination, _, _ = runner.run(sample)
+            kind, rho, termination, _, _ = runner.run(sample)
             traj = sc.simulate(scen, values)
             want = mo.evaluate(config.spec, traj)
             assert kind == "done"
             assert np.array(rho).tobytes() == want.tobytes(), (scen, values)
-            assert bits == mo.falsification_vector(want)
             assert termination == traj.termination
             draws += 1
     assert draws >= 1000
@@ -575,8 +574,7 @@ def test_encoded_record_line_equals_json_dumps(changes):
     record = ca.SampleRecord(
         id=7, worker=1, t_dispatch=0.25, t_complete=0.5,
         sample=SampleVector((1.5, -0.0, 1e-300), (0, 3, 2)),
-        rho=(-1.0, float("nan"), 2.5), b=(True, False, False),
-        is_counterexample=True, termination="crash", sim_seconds=1e-4,
+        rho=(-1.0, float("nan"), 2.5), termination="crash", sim_seconds=1e-4,
     )
     record = dataclasses.replace(record, **changes)
     row, line = ca._encoded(record)
@@ -595,6 +593,63 @@ def test_read_records_missing_dir(tmp_path):
         ca.read_records(tmp_path / "nowhere")
 
 
+def test_record_verdict_is_derived_from_rho():
+    record = ca.SampleRecord(
+        id=0, worker=0, t_dispatch=0.0, t_complete=1.0,
+        sample=SampleVector((0.35, 0.5), (3, 5)), rho=(1.0, -0.0, -2.0),
+        termination=TERM_TIME_LIMIT, sim_seconds=0.1,
+    )
+    assert record.b == (False, False, True) and record.is_counterexample
+    assert dataclasses.replace(record, rho=(0.0, 1.0, 2.0)).b == (False,) * 3
+    with pytest.raises(ValueError, match="init=False"):
+        dataclasses.replace(record, b=(True, True, True))
+
+
+@pytest.mark.parametrize("changes", [
+    {"b": [False, True]},
+    {"b": [True]},
+    {"counterexample": False},
+    {"rho": [1.0, 1.0]},
+])
+def test_read_records_checks_the_verdict_against_rho(tmp_path, changes):
+    doc = json.loads(json.dumps(one_record_result().records[0].to_json_dict()))
+    doc["rho"], doc["b"] = [-1.0, 1.0], [True, False]
+    (tmp_path / ca.RECORDS_JSONL).write_text(
+        json.dumps(doc) + "\n" + json.dumps({**doc, **changes, "id": 1}) + "\n"
+    )
+    with pytest.raises(ConfigError, match=r"line 2: record 1: b and counterexample"):
+        ca.read_records(tmp_path)
+
+
+def test_read_records_names_the_file_and_line(tmp_path):
+    result = ca.run_campaign(make_config(max_samples=5))
+    ca.write_artifacts(result, tmp_path)
+    path = tmp_path / ca.RECORDS_JSONL
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines)[:-40])
+    with pytest.raises(ConfigError, match=r"records\.jsonl, line 5"):
+        ca.read_records(tmp_path)
+    del_key = json.loads(lines[2])
+    del del_key["termination"]
+    lines[2] = json.dumps(del_key) + "\n"
+    path.write_text("".join(lines))
+    with pytest.raises(ConfigError, match=r"line 3: missing key 'termination'"):
+        ca.read_records(tmp_path)
+
+
+@pytest.mark.parametrize("name, text", [
+    (ca.SUMMARY_JSON, "{"),
+    (ca.SUMMARY_JSON, "{}"),
+    (ca.SUMMARY_JSON, "[]"),
+    (ca.SNAPSHOT_JSON, "{\"sampler\""),
+])
+def test_read_result_names_a_malformed_file(tmp_path, name, text):
+    ca.write_artifacts(ca.run_campaign(make_config(max_samples=3)), tmp_path)
+    (tmp_path / name).write_text(text)
+    with pytest.raises(ConfigError, match=f"malformed .*{name}"):
+        ca.read_result(tmp_path)
+
+
 # ---------------------------------------------------------------------------
 # Coverage statistics over campaign results
 # ---------------------------------------------------------------------------
@@ -606,8 +661,7 @@ def one_record_result(violated=True):
     record = ca.SampleRecord(
         id=0, worker=0, t_dispatch=0.0, t_complete=1.0,
         sample=SampleVector((0.35, 0.5), (3, 5)),
-        rho=rho, b=(violated,), is_counterexample=violated,
-        termination=TERM_TIME_LIMIT, sim_seconds=0.1,
+        rho=rho, termination=TERM_TIME_LIMIT, sim_seconds=0.1,
     )
     return ca.CampaignResult(
         config=config, records=(record,),

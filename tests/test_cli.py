@@ -118,6 +118,22 @@ def test_run_missing_config_file_exits_2(tmp_path, capsys):
     assert "not found" in err
 
 
+def test_run_unreadable_config_exits_2(tmp_path, capsys, monkeypatch):
+    rc, _, err = run_cli(capsys, "run", str(tmp_path))
+    assert rc == 2
+    assert "cannot read config file" in err and "directory" in err
+
+    path, _ = write_config(tmp_path)
+
+    def denied(self, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(self))
+
+    monkeypatch.setattr(Path, "read_text", denied)
+    rc, _, err = run_cli(capsys, "run", str(path))
+    assert rc == 2
+    assert f"cannot read config file {path}: Permission denied" in err
+
+
 def test_run_requires_an_output_directory(tmp_path, capsys):
     doc = example_config("1")
     doc["budget"]["max_samples"] = 3
@@ -350,6 +366,28 @@ def test_report_missing_dir_exits_2(tmp_path, capsys):
     assert rc == 2
 
 
+def truncate_records(out_dir, nbytes=40):
+    path = out_dir / "records.jsonl"
+    path.write_bytes(path.read_bytes()[:-nbytes])
+    return path
+
+
+def test_report_malformed_run_dir_exits_2(tmp_path, capsys):
+    out_dir = make_run(tmp_path, capsys, "halton", "h")
+    summary = read_summary(out_dir)
+    del summary["maximal"]
+    (out_dir / "summary.json").write_text(json.dumps(summary))
+    rc, out, err = run_cli(capsys, "report", str(out_dir))
+    assert rc == 2 and out == ""
+    assert f"malformed {out_dir / 'summary.json'}: missing key 'maximal'" in err
+
+    out_dir = make_run(tmp_path, capsys, "halton", "h2")
+    path = truncate_records(out_dir)
+    rc, out, err = run_cli(capsys, "report", str(out_dir))
+    assert rc == 2 and out == ""
+    assert f"malformed {path}, line 40" in err
+
+
 # ---------------------------------------------------------------------------
 # compare
 
@@ -388,6 +426,15 @@ def test_compare_scenario_mismatch_exits_2(tmp_path, capsys):
     rc, _, err = run_cli(capsys, "compare", str(dir_a), str(out_b))
     assert rc == 2
     assert "different scenarios" in err
+
+
+def test_compare_malformed_run_dir_exits_2(tmp_path, capsys):
+    dir_a = make_run(tmp_path, capsys, "uniform", "a")
+    dir_b = make_run(tmp_path, capsys, "uniform", "b")
+    path = truncate_records(dir_b)
+    rc, out, err = run_cli(capsys, "compare", str(dir_a), str(dir_b))
+    assert rc == 2 and out == ""
+    assert f"malformed {path}, line 40" in err
 
 
 def test_compare_missing_artifacts_exits_2(tmp_path, capsys):

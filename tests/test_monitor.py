@@ -80,10 +80,6 @@ class TestTrajectory:
         with pytest.raises(ValueError):
             traj.positions[0, 0, 0] = 1.0
 
-    def test_duration(self):
-        traj = make_traj([[0, 0], [1, 0], [2, 0]], [[[9, 0], [9, 0], [9, 0]]])
-        assert traj.duration == pytest.approx(0.2)
-
     def test_separations(self):
         traj = make_traj([[0, 0], [0, 0]], [[[3, 4], [6, 8]]])
         assert traj.separations(EGO, "adv0").tolist() == [5.0, 10.0]
@@ -92,28 +88,6 @@ class TestTrajectory:
         traj = make_traj([[0, 0]], [[[9, 0]]])
         with pytest.raises(SpecError, match="ghost"):
             traj.separations(EGO, "ghost")
-
-    @given(st.integers(1, 40), st.integers(0, 4), st.integers(0, 4),
-           st.integers(0, 2**31))
-    @settings(max_examples=100)
-    def test_ego_separations_match_separations(self, frames, m, ego_at, seed):
-        # The one-pass table, and the clearance each metric reads from it,
-        # equal the per-agent path bit for bit wherever the ego sits.
-        rng = np.random.default_rng(seed)
-        agents = [f"adv{i}" for i in range(m)]
-        agents.insert(min(ego_at, m), EGO)
-        positions = rng.uniform(-30, 30, size=(frames, m + 1, 2))
-        zeros = np.zeros((frames, m + 1))
-        traj = Trajectory(agents, positions, zeros, zeros, 0.1, TERM_TIME_LIMIT)
-        table = traj.ego_separations
-        assert table.shape == (frames, m + 1) and not table.flags.writeable
-        for i, name in enumerate(agents):
-            per_agent = traj.separations(EGO, name)
-            assert table[:, i].tobytes() == per_agent.tobytes()
-            rho = MinSeparation(name, 5.0).robustness(traj)
-            assert type(rho) is float
-            want = float((per_agent - 5.0).min())
-            assert np.float64(rho).tobytes() == np.float64(want).tobytes()
 
 
 class TestSeparationMinima:
@@ -159,7 +133,7 @@ class TestSeparationMinima:
         traj = make_traj(np.zeros((len(seps), 2)),
                          [np.stack([seps, np.zeros_like(seps)], axis=1)])
         with np.errstate(invalid="ignore"):
-            want = float((traj.ego_separations[:, 1] - threshold).min())
+            want = float((traj.separations(EGO, "adv0") - threshold).min())
         got = MinSeparation("adv0", threshold).robustness(traj)
         assert type(got) is float
         assert np.float64(got).tobytes() == np.float64(want).tobytes()

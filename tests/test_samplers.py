@@ -43,12 +43,17 @@ def run_bandit(space, seed, oracle, steps, rulebook=None):
 
 
 def test_feedback_consistency_enforced():
+    # The verdict is derived from rho and cannot be passed in.
     space = unit_space(1)
     s = space.make_sample([0.5])
-    with pytest.raises(DomainError, match="is_counterexample"):
+    fb = sa.SampleFeedback(s, (-1.0, 0.0, float("nan"), 2.0))
+    assert fb.b == (True, False, False, False) and fb.is_counterexample
+    assert all(type(x) is bool for x in fb.b)
+    assert not sa.SampleFeedback(s, (0.0, 1.0)).is_counterexample
+    with pytest.raises(TypeError):
         sa.SampleFeedback(s, (-1.0,), (True,), False)
-    with pytest.raises(DomainError, match="equal length"):
-        sa.SampleFeedback(s, (-1.0, 2.0), (True,), True)
+    with pytest.raises(TypeError):
+        sa.SampleFeedback(s, (-1.0,), b=(False,))
 
 
 def test_feedback_from_rho_strict_sign():
@@ -99,6 +104,27 @@ def test_ucb_monotonicity(mu, visits, t):
 # ---------------------------------------------------------------------------
 # Construction and lifecycle
 # ---------------------------------------------------------------------------
+
+
+def test_ucb_scores_are_compute_ucb_entry_by_entry():
+    # The sampler's Q matrix is the formula criterion 03 checks, exactly:
+    # compute_ucb(mu_hat, visits, t) where visited, +inf where not.
+    space = unit_space(d=3, buckets=6)
+    sampler = sa.make_sampler("mab", space, 3, rulebook=rb.total_order(2))
+    rng = np.random.default_rng(3)
+    checked = 0
+    for _ in range(300):
+        s = sampler.next_sample()
+        sampler.update(sa.SampleFeedback.from_rho(s, rng.choice([-1.0, 1.0], 2)))
+        t = sampler.issued + 1
+        q, mu, visits = sampler.ucb_scores(t), sampler.mu_hat(), sampler.visits
+        for (i, j), n in np.ndenumerate(visits):
+            if n:
+                assert q[i, j] == sa.compute_ucb(mu[i, j], int(n), t)
+                checked += 1
+            else:
+                assert q[i, j] == np.inf
+    assert checked > 1000
 
 
 def test_unknown_sampler_name():
@@ -621,3 +647,65 @@ def test_restore_validates_space():
     without_maximal = {k: v for k, v in snap.items() if k != "maximal"}
     with pytest.raises(StateError, match="malformed"):
         sa.restore(without_maximal, unit_space(d=2))
+
+
+MAB_SNAPSHOT_KEYS = (
+    "sampler", "seed", "issued", "completed", "dimensions", "bucket_count",
+    "maximal", "init_cursor", "visits", "mu_hat", "ucb", "maximal_counts",
+)
+
+
+def _mab_snapshot():
+    space = unit_space(d=2, buckets=4)
+    book = rb.total_order(2)
+    sampler = sa.make_sampler("mab", space, 21, rulebook=book)
+    for _ in range(25):
+        s = sampler.next_sample()
+        rho = (-1.0 if s.buckets[0] == 1 else 1.0, -1.0 if s.buckets[1] == 2 else 1.0)
+        sampler.update(sa.SampleFeedback.from_rho(s, rho))
+    assert sampler.maximal
+    return json.loads(json.dumps(sampler.snapshot())), space, book
+
+
+def test_mab_snapshot_keys_are_all_listed():
+    snap, _, _ = _mab_snapshot()
+    assert sorted(snap) == sorted(MAB_SNAPSHOT_KEYS)
+
+
+@pytest.mark.parametrize("key", MAB_SNAPSHOT_KEYS)
+def test_restore_without_a_key(key):
+    snap, space, book = _mab_snapshot()
+    del snap[key]
+    if key in ("mu_hat", "ucb"):  # derived views, recomputed on restore
+        restored = sa.restore(snap, space, book)
+        assert restored.snapshot()[key] == _mab_snapshot()[0][key]
+        return
+    with pytest.raises(StateError):
+        sa.restore(snap, space, book)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("seed", "x"),
+    ("issued", None),
+    ("completed", [1]),
+    ("maximal", 3),
+    ("init_cursor", "x"),
+    ("visits", [[0, 1], [2, 3]]),
+    ("visits", "x"),
+    ("maximal_counts", []),
+    ("maximal_counts", [[[0]]]),
+    ("sampler", "nonesuch"),
+])
+def test_restore_rejects_a_malformed_key(key, value):
+    snap, space, book = _mab_snapshot()
+    snap[key] = value
+    with pytest.raises(StateError, match="malformed"):
+        sa.restore(snap, space, book)
+
+
+def test_restore_rejects_malformed_cross_entropy_weights():
+    space = unit_space(d=2, buckets=4)
+    snap = sa.make_sampler("cross-entropy", space, 0).snapshot()
+    snap["weights"] = [[0.25] * 4]
+    with pytest.raises(StateError, match="malformed"):
+        sa.restore(snap, space)

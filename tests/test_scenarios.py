@@ -1,5 +1,6 @@
 """Scenario catalog tests: construction, fixtures, determinism, the timing
-contract of the delayed simulator, and a closed-form safe case."""
+contract of the campaign simulator's delay floor, and a closed-form safe
+case."""
 
 import importlib.util
 import time
@@ -9,7 +10,9 @@ import numpy as np
 import pytest
 
 from falsify import monitor as mo
+from falsify import rulebook as rb
 from falsify import scenarios as sc
+from falsify.campaign import CampaignConfig, default_simulator
 from falsify.errors import ConfigError
 
 
@@ -259,35 +262,46 @@ def test_unsafe_fraction_in_band(sid):
 # ---------------------------------------------------------------------------
 
 
-def test_delay_zero_identical():
+def delayed(delay):
+    """A band-scenario campaign config whose simulator keeps a delay floor."""
     cfg = sc.ScenarioConfig("band")
-    a = sc.simulate(cfg, [0.35, 0.5])
-    b = sc.simulate_with_delay(cfg, [0.35, 0.5], artificial_delay=0.0)
+    spec = sc.default_specification(cfg)
+    return CampaignConfig(
+        space=sc.default_feature_space(cfg), scenario=cfg, spec=spec,
+        rulebook=rb.disconnected(len(spec)), max_samples=1, delay=delay,
+    )
+
+
+def test_delay_zero_identical():
+    config = delayed(0.0)
+    sample = config.space.make_sample([0.35, 0.5])
+    a = sc.simulate_minima(config.scenario, sample)
+    b = default_simulator(config, sample)
     assert a.termination == b.termination
-    for agent in a.agents:
-        assert a.min_separation(agent) == b.min_separation(agent)
+    assert a.agents == b.agents and a.minima == b.minima
 
 
 def test_delay_duration_contract():
-    cfg = sc.ScenarioConfig("band")
+    config = delayed(0.1)
+    sample = config.space.make_sample([0.1, 0.5])
     t0 = time.perf_counter()
-    sc.simulate_with_delay(cfg, [0.1, 0.5], artificial_delay=0.1)
+    default_simulator(config, sample)
     elapsed = time.perf_counter() - t0
     assert 0.1 <= elapsed <= 0.1 + 0.08
 
 
 def test_delay_additive_serial():
-    cfg = sc.ScenarioConfig("band")
+    config = delayed(0.05)
+    sample = config.space.make_sample([0.7, 0.5])
     t0 = time.perf_counter()
     for _ in range(10):
-        sc.simulate_with_delay(cfg, [0.7, 0.5], artificial_delay=0.05)
+        default_simulator(config, sample)
     assert time.perf_counter() - t0 >= 0.5
 
 
 def test_negative_delay_rejected():
-    cfg = sc.ScenarioConfig("band")
     with pytest.raises(ConfigError, match="delay"):
-        sc.simulate_with_delay(cfg, [0.1, 0.5], artificial_delay=-0.1)
+        delayed(-0.1)
 
 
 # ---------------------------------------------------------------------------

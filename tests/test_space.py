@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from falsify.errors import DomainError
@@ -162,36 +162,10 @@ class TestSampleInBucket:
 
 
 class TestUnitCube:
-    def test_known_normalization(self):
-        space = FeatureSpace([Dimension("x", 2.0, 6.0)])
-        assert space.normalize([5.0])[0] == pytest.approx(0.75)
-
-    @given(
-        bounds=finite_bounds,
-        u=st.floats(0, 1),
-    )
-    @example(bounds=(-1.0, -3.885882630646316e-260), u=1.0)
-    def test_round_trip(self, bounds, u):
-        lo, hi = bounds
-        space = FeatureSpace([Dimension("x", lo, hi)])
-        v = space.denormalize([u])[0]
-        back = space.normalize([v])[0]
-        assert abs(back - u) < 1e-9
-
-    def test_normalize_rejects_out_of_range(self):
-        space = FeatureSpace([Dimension("x", 0.0, 1.0)])
-        with pytest.raises(DomainError):
-            space.normalize([1.5])
-
-    def test_denormalize_rejects_outside_unit(self):
-        space = FeatureSpace([Dimension("x", 0.0, 1.0)])
-        with pytest.raises(DomainError):
-            space.denormalize([-0.1])
-
     def test_length_checked(self):
         space = FeatureSpace([Dimension("x", 0.0, 1.0), Dimension("y", 0.0, 1.0)])
         with pytest.raises(DomainError):
-            space.normalize([0.5])
+            space.buckets_of([0.5])
 
 
 class TestSampleConstruction:
