@@ -1,43 +1,55 @@
 """Campaign orchestration: one runner for every worker count, plus
 result persistence.
 
-A coordinator owns the sampler and the result tables, draws samples,
-hands them to a simulator, and folds the evaluated outcome back into the
-sampler, which also keeps the maximal set of counterexample vectors
-under the rulebook.  Each step is written once on ``_Runner``; the
-worker count only decides where the simulation runs.  At W=1 it runs
-inline on the coordinator.  At W>1 each of W workers has its own pipe
-and runs one sample at a time; the coordinator, the only one that
-touches sampler state, builds each record and applies its feedback in
-completion order as it arrives (workers may finish out of dispatch
-order).  With the default simulator the workers are forked processes,
-so the interpreted kernel runs on W interpreters at once.  A
-``simulate_fn`` passed in by the caller runs on worker threads in the
-caller's process instead, where it may keep state; those threads
-overlap only while the simulation releases the interpreter lock (a
-sleep).
+A coordinator owns the result tables and the sampler, which also keeps
+the maximal set of counterexample vectors under the rulebook, and folds
+each evaluated outcome back into them.  Each step is written once on
+``_Runner``; the worker count only decides where the simulation runs.
+At W=1 it runs inline on the coordinator: draw, simulate, evaluate,
+absorb.  At W>1 each of W workers runs one sample at a time and answers
+on its own pipe with (id, t_dispatch, sample, outcome); the coordinator,
+the only one that absorbs, builds each record and applies its feedback
+in completion order as it arrives.  Where a worker's next sample comes
+from depends on the sampler:
 
-Sample ids are assigned at dispatch and are dense over dispatched
-samples.  The failure policy is the same for every W.  A simulation or
-evaluation that raises a package error (``FalsifyError``) is a package
-or config fault that would repeat on every sample, so it aborts the
-campaign, as do any package error on the coordinator and a worker
-process that dies: in-flight samples are absorbed and the partial result
-is attached to the raised CampaignError.  A worker sends back the
-error's type name and message, not the error itself, which may not
-survive pickling.  Any other exception marks its sample failed: the id
-is logged and counted, the sample joins neither table, and the campaign
-continues.  A Ctrl-C stops dispatch instead: the samples in flight
-finish and are absorbed, and CampaignInterrupted, a KeyboardInterrupt,
-carries the partial result; a second Ctrl-C raises at once.
+- a feedback-free sampler (uniform, Halton) draws sample k from the seed
+  and k alone, so the workers claim their own work: each takes the next
+  id from a counter they share, under a lock, and draws that sample
+  itself.  The coordinator does nothing per sample but absorb.
+- an adaptive sampler (cross-entropy, MAB) reads the feedback absorbed
+  so far, so the coordinator draws each sample and dispatches it to the
+  worker that just answered.
+
+With the default simulator the workers are forked processes, so the
+interpreted kernel runs on W interpreters at once.  A ``simulate_fn``
+passed in by the caller runs on worker threads in the caller's process
+instead, where it may keep state; those threads overlap only while the
+simulation releases the interpreter lock (a sleep).
+
+Sample ids are dense over dispatched samples, claimed or not, and the
+uniform and Halton streams do not depend on W.  The failure policy is
+the same for every W.  A simulation or evaluation that raises a package
+error (``FalsifyError``) is a package or config fault that would repeat
+on every sample, so it aborts the campaign, as do any package error on
+the coordinator and a worker process that dies: in-flight samples are
+absorbed and the partial result is attached to the raised CampaignError.
+A worker sends back the error's type name and message, not the error
+itself, which may not survive pickling.  Any other exception marks its
+sample failed: the id is logged and counted, the sample joins neither
+table, and the campaign continues.  A Ctrl-C stops dispatch and claims
+instead: the samples in flight finish and are absorbed, and
+CampaignInterrupted, a KeyboardInterrupt, carries the partial result; a
+second Ctrl-C raises at once.
 """
 
 from __future__ import annotations
 
 import contextlib
 import csv
+import functools
 import json
 import logging
+import pickle
 import queue
 import threading
 import time
@@ -325,9 +337,10 @@ class _Runner:
         return ("done", tuple(float(r) for r in rho), traj.termination,
                 time.perf_counter() - t0, time.time())
 
-    def handle(self, task: tuple, worker: int, outcome: tuple) -> None:
-        """Absorb a finished task, count a failed one, or raise a worker's abort."""
-        sid, t_dispatch, sample = task
+    def handle(self, message: tuple, worker: int) -> None:
+        """Absorb a finished sample, count a failed one, or raise a worker's
+        abort; ``message`` is (id, t_dispatch, sample, outcome)."""
+        sid, t_dispatch, sample, outcome = message
         kind = outcome[0]
         if kind == "done":
             _, rho, termination, sim_seconds, t_complete = outcome
@@ -365,24 +378,57 @@ class _Runner:
         )
 
 
+def _send(conn, obj) -> None:
+    """Pickle ``obj`` straight to a pipe, bypassing ForkingPickler."""
+    conn.send_bytes(pickle.dumps(obj, pickle.HIGHEST_PROTOCOL))
+
+
+def _receive(conn):
+    return pickle.loads(conn.recv_bytes())
+
+
 class _Pool:
-    """W workers that each run one task at a time and answer on their own pipe.
+    """W workers that each run one sample at a time and answer on their own pipe.
+
+    A worker takes its tasks from one of two sources, chosen by the
+    sampler.  Under a feedback-free sampler it claims them (``_claim``):
+    it takes the next sample id from a counter that every worker shares,
+    under a lock, and draws that sample itself.  Under an adaptive
+    sampler, whose draws read the feedback absorbed so far, the
+    coordinator draws each sample and feeds it (``_feed``) to the worker
+    that just answered.  Either way a worker answers each task with one
+    message, (id, t_dispatch, sample, outcome), and says None once its
+    source runs dry; the coordinator absorbs messages until every worker
+    has said None.
 
     A worker is a forked process or a thread; only ``start`` tells them
-    apart.  A process receives its task over the pipe; a thread takes it
-    from an in-process queue, so a caller's ``simulate_fn`` sees the very
-    sample object the sampler issued.
+    apart.  A thread draws with, or is fed, the coordinator's own sampler
+    objects, so a caller's ``simulate_fn`` sees the very sample object
+    the sampler issued.
     """
+
+    # Slots of the shared block: the next sample id, the stop flag, then
+    # the id of the sample each worker took last.
+    NEXT, STOP, TAKEN = 0, 1, 2
 
     def __init__(self, runner: _Runner):
         self.runner = runner
-        self.workers: list[tuple] = []  # (coordinator's pipe end, send, worker)
-        self.busy: dict = {}  # pipe end -> (worker index, task)
+        self.claiming = runner.sampler.feedback_free
+        self.conns: list = []  # the coordinator's pipe end of each worker
+        self.feeds: list = []  # per worker: hand it a task (or None)
+        self.workers: list = []  # Process or Thread
+        self.live: dict = {}  # pipe fd -> index of a worker yet to finish
+        self.reported: list[int] = []  # per worker: the last id it answered
+        self.shared = None
+        self.lock = None
+        self.poller = None
 
     def start(self, count: int, forked: bool) -> None:
         # Imported here: multiprocessing.connection costs a fresh interpreter
         # about 10 ms of imports, which a W=1 campaign never needs.
+        import mmap
         import multiprocessing
+        import select
 
         # fork, not spawn: a worker inherits the config, the simulator and
         # any compiled kernels without pickling, and starts in milliseconds
@@ -391,27 +437,44 @@ class _Pool:
             ctx = multiprocessing.get_context("fork")
         else:
             ctx = None
+        # An anonymous shared mapping: forked workers see the coordinator's
+        # pages, with none of multiprocessing.Value's ctypes imports.
+        self.shared = memoryview(mmap.mmap(-1, 8 * (self.TAKEN + count))).cast("q")
+        self.lock = threading.Lock() if ctx is None else ctx.Lock()
+        self.poller = select.poll()
         for w in range(count):
+            self.shared[self.TAKEN + w] = -1
+            self.reported.append(-1)
             conn, end = multiprocessing.Pipe()
-            if ctx is not None:
-                worker = ctx.Process(
-                    target=self._serve_forked, args=(conn, end),
-                    name=f"falsify-worker-{w}", daemon=True,
-                )
-                send = conn.send
+            self.conns.append(conn)
+            if self.claiming:
+                source, feed = functools.partial(self._claim, w), None
+            elif ctx is not None:
+                source, feed = functools.partial(_receive, end), functools.partial(_send, conn)
             else:
                 inbox: queue.SimpleQueue = queue.SimpleQueue()
-                worker = threading.Thread(
-                    target=self._serve, args=(inbox.get, end),
+                source, feed = inbox.get, inbox.put
+            self.feeds.append(feed)
+            if ctx is not None:
+                worker = ctx.Process(
+                    target=self._serve_forked, args=(end, source),
                     name=f"falsify-worker-{w}", daemon=True,
                 )
-                send = inbox.put
+            else:
+                worker = threading.Thread(
+                    target=self._serve, args=(end, source),
+                    name=f"falsify-worker-{w}", daemon=True,
+                )
             worker.start()
             if ctx is not None:
                 end.close()  # the child holds the only copy
-            self.workers.append((conn, send, worker))
+            self.workers.append(worker)
+            self.live[conn.fileno()] = w
+            self.poller.register(conn.fileno(), select.POLLIN)
 
-    def _serve_forked(self, own, end) -> None:
+    # -- worker side ---------------------------------------------------------
+
+    def _serve_forked(self, end, source) -> None:
         """Entry point of a forked worker."""
         import signal  # here, not at the top: it would add to every set-up
 
@@ -419,63 +482,114 @@ class _Pool:
         signal.signal(signal.SIGINT, signal.SIG_IGN)
         # Drop the inherited coordinator ends, so that the coordinator's
         # exit reads as EOF here and this worker's exit as EOF there.
-        own.close()
-        for conn, _, _ in self.workers:
+        for conn in self.conns:
             conn.close()
-        self._serve(end.recv, end)
+        self._serve(end, source)
 
-    def _serve(self, recv, end) -> None:
-        """Answer each task with its outcome until None or EOF."""
+    def _serve(self, end, source) -> None:
+        """Answer each task from ``source`` with its outcome, then None."""
+        run = self.runner.run
         try:
-            while (task := recv()) is not None:
+            while (task := source()) is not None:
                 try:
-                    outcome = self.runner.run(task[2])
+                    outcome = run(task[2])
                 except FalsifyError as exc:
                     outcome = ("abort", type(exc).__name__, str(exc))
-                end.send(outcome)
+                _send(end, (*task, outcome))
+            _send(end, None)
         except (EOFError, OSError):
             pass  # the coordinator is gone
         finally:
             end.close()
 
-    def _send(self, w: int, task: tuple) -> None:
-        conn, send, _ = self.workers[w]
-        try:
-            send(task)
-        except OSError as exc:
-            raise FalsifyError(f"worker {w} died before sample {task[0]}") from exc
-        self.busy[conn] = (w, task)
+    def _claim(self, w: int):
+        """Worker ``w``'s next task, drawn by itself, or None once the budget
+        is spent or the stop flag is set.
 
-    def _collect(self, conn) -> int:
-        """Receive and handle one worker's outcome; returns the worker index."""
-        w, task = self.busy.pop(conn)
+        The lock also covers the draw: thread workers share one sampler,
+        whose ``next_sample`` counts as it draws.  A forked worker's runner
+        is its own copy, brought up to the shared count first.
+        """
+        runner, shared = self.runner, self.shared
+        with self.lock:
+            runner.dispatched = runner.sampler.issued = shared[self.NEXT]
+            if shared[self.STOP] or not runner.may_dispatch():
+                return None
+            task = runner.dispatch()
+            shared[self.NEXT] = runner.dispatched
+            shared[self.TAKEN + w] = task[0]
+        return task
+
+    # -- coordinator side ----------------------------------------------------
+
+    def stop(self) -> None:
+        """No worker takes another task; the ones in flight still finish."""
+        if self.shared is not None:
+            self.shared[self.STOP] = 1
+
+    def _feed(self, w: int) -> None:
+        """Dispatch worker ``w``'s next task, or None once dispatch stopped."""
+        runner = self.runner
+        if self.shared[self.STOP] or not runner.may_dispatch():
+            task = None
+        else:
+            task = runner.dispatch()
+            self.shared[self.TAKEN + w] = task[0]
         try:
-            outcome = conn.recv()
+            self.feeds[w](task)
+        except OSError as exc:
+            self._finish(w)
+            if task is not None:
+                raise FalsifyError(f"worker {w} died before sample {task[0]}") from exc
+
+    def _finish(self, w: int) -> None:
+        fd = self.conns[w].fileno()
+        self.poller.unregister(fd)
+        del self.live[fd]
+
+    def _recv(self, w: int):
+        try:
+            return _receive(self.conns[w])
         except (EOFError, OSError) as exc:
-            raise FalsifyError(
-                f"worker {w} died while running sample {task[0]}"
-            ) from exc
-        self.runner.handle(task, w, outcome)
-        return w
+            self._finish(w)
+            taken = self.shared[self.TAKEN + w]
+            when = (f"while running sample {taken}" if taken > self.reported[w]
+                    else "between samples")
+            raise FalsifyError(f"worker {w} died {when}") from exc
+
+    def _absorb_ready(self) -> None:
+        """Wait for answers, then absorb each; feed a worker that answered."""
+        for fd, _ in self.poller.poll():
+            w = self.live.get(fd)
+            if w is None:
+                continue  # finished while this batch was handled
+            message = self._recv(w)
+            if message is None:
+                self._finish(w)
+                continue
+            self.reported[w] = message[0]
+            try:
+                self.runner.handle(message, w)
+            except FalsifyError:
+                self.stop()
+                raise
+            finally:
+                if not self.claiming:
+                    self._feed(w)
 
     def pipeline(self) -> None:
-        """Keep every worker busy until the budget is spent.
+        """Absorb answers until every worker is finished.
 
         Feedback is applied as each result lands, without waiting for the
         rest of the batch — adaptive samplers therefore see feedback in
         completion order, which is the accepted nondeterminism of W>1.
         """
-        from multiprocessing.connection import wait
-
-        runner = self.runner
-        idle = list(range(len(self.workers)))
-        while True:
-            while idle and runner.may_dispatch():
-                self._send(idle.pop(), runner.dispatch())
-            if not self.busy:
-                return
-            for conn in wait(list(self.busy)):
-                idle.append(self._collect(conn))
+        if not self.claiming:
+            for w in range(len(self.workers)):
+                self._feed(w)
+        while self.live:
+            self._absorb_ready()
+        self._settle()
 
     def drain(self) -> None:
         """After an abort, absorb what is still in flight.
@@ -483,33 +597,49 @@ class _Pool:
         A fault that aborts one sample usually aborts every other sample in
         flight too, so those repeats are logged once, as a count.
         """
+        self.stop()
+        if not self.claiming:
+            # A worker the abort left unfed would wait for a task forever;
+            # None tells each to stop after the one in hand.
+            for w in list(self.live.values()):
+                self._feed(w)
         repeats = []
-        while self.busy:
+        while self.live:
             try:
-                self._collect(next(iter(self.busy)))
+                self._absorb_ready()
             except FalsifyError as exc:
                 repeats.append(exc)
+        self._settle()
         if repeats:
             logger.error(
                 "%d more in-flight sample(s) aborted while draining; first: %s",
                 len(repeats), repeats[0],
             )
 
+    def _settle(self) -> None:
+        """Claimed samples were counted by the workers: take their count."""
+        if self.claiming and self.shared is not None:
+            runner = self.runner
+            runner.dispatched = runner.sampler.issued = self.shared[self.NEXT]
+
     def close(self) -> None:
-        for conn, send, _ in self.workers:
-            with contextlib.suppress(OSError):  # a dead process's pipe
-                send(None)
+        self.stop()
+        for w, conn in enumerate(self.conns):
+            if not self.claiming:
+                with contextlib.suppress(OSError):  # a dead process's pipe
+                    self.feeds[w](None)
             conn.close()
-        for _, _, worker in self.workers:
+        for worker in self.workers:
             worker.join()
 
 
 @contextlib.contextmanager
-def _stop_on_ctrl_c(runner: _Runner):
-    """While the campaign runs, a Ctrl-C sets ``runner.interrupted``.
+def _stop_on_ctrl_c(runner: _Runner, pool: _Pool):
+    """While the campaign runs, a Ctrl-C sets ``runner.interrupted`` and
+    the pool's stop flag.
 
-    The runner then dispatches nothing more and absorbs what is in flight,
-    so no sample is left half folded into the sampler.  The first Ctrl-C
+    No sample is dispatched or claimed after it, and what is in flight is
+    absorbed, so no sample is left half folded into the sampler.  The first Ctrl-C
     puts the default handler back, so a second one raises at once.  Only
     the main thread receives signals, and a caller who installed a SIGINT
     handler of their own keeps it.
@@ -523,6 +653,7 @@ def _stop_on_ctrl_c(runner: _Runner):
 
     def stop(signum, frame):
         runner.interrupted = True
+        pool.stop()
         signal.signal(signal.SIGINT, signal.default_int_handler)
 
     signal.signal(signal.SIGINT, stop)
@@ -546,12 +677,12 @@ def run_campaign(config: CampaignConfig, simulate_fn=None) -> CampaignResult:
     """
     runner = _Runner(config, simulate_fn)
     pool = _Pool(runner)
-    with _stop_on_ctrl_c(runner):
+    with _stop_on_ctrl_c(runner, pool):
         try:
             if config.workers == 1:
                 while runner.may_dispatch():
                     task = runner.dispatch()
-                    runner.handle(task, 0, runner.run(task[2]))
+                    runner.handle((*task, runner.run(task[2])), 0)
             else:
                 if simulate_fn is None:
                     # One run here compiles the scenario's kernel, which the
@@ -684,14 +815,19 @@ def read_result(run_dir) -> CampaignResult:
 
     summary = read_summary(run_dir)
     try:
-        return CampaignResult(
-            config=parse_config(summary["config"]),
-            records=tuple(read_records(run_dir)),
-            maximal=tuple(tuple(bits) for bits in summary["maximal"]),
-            snapshot=_read_json(run_dir, SNAPSHOT_JSON),
-            wall_seconds=summary["totals"]["wall_seconds"],
-            dispatched=summary["dispatched"],
-            failed=summary["failed"],
-        )
-    except (KeyError, TypeError) as exc:
+        config = parse_config(summary["config"])
+        maximal = tuple(tuple(bits) for bits in summary["maximal"])
+        wall_seconds = float(summary["totals"]["wall_seconds"])
+        dispatched = int(summary["dispatched"])
+        failed = int(summary["failed"])
+    except (KeyError, TypeError, ValueError) as exc:
         raise _malformed(Path(run_dir) / SUMMARY_JSON, exc) from exc
+    return CampaignResult(
+        config=config,
+        records=tuple(read_records(run_dir)),
+        maximal=maximal,
+        snapshot=_read_json(run_dir, SNAPSHOT_JSON),
+        wall_seconds=wall_seconds,
+        dispatched=dispatched,
+        failed=failed,
+    )

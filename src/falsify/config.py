@@ -57,6 +57,18 @@ def _require_mapping(doc, where: str) -> dict:
     return doc
 
 
+def _number(convert, value, where: str):
+    """``convert(value)`` for ``int`` or ``float``; a value that is no
+    number is a ConfigError naming its place in the document."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(
+            f"{where} must be {'an integer' if convert is int else 'a number'}, "
+            f"got {value!r}"
+        ) from exc
+
+
 def _reject_unknown(doc: dict, allowed: set, where: str) -> None:
     unknown = set(doc) - allowed
     if unknown:
@@ -69,7 +81,8 @@ def _parse_scenario(doc) -> ScenarioConfig:
     if "id" not in doc:
         raise ConfigError("scenario section needs an 'id'")
     return ScenarioConfig(
-        str(doc["id"]), adversaries=int(doc.get("adversaries", 1))
+        str(doc["id"]),
+        adversaries=_number(int, doc.get("adversaries", 1), "scenario.adversaries"),
     )
 
 
@@ -78,7 +91,8 @@ def _parse_feature_space(doc, scenario: ScenarioConfig) -> FeatureSpace:
         return default_feature_space(scenario)
     doc = _require_mapping(doc, "feature_space")
     _reject_unknown(doc, {"dimensions", "buckets"}, "feature_space")
-    buckets = int(doc.get("buckets", DEFAULT_BUCKET_COUNT))
+    buckets = _number(int, doc.get("buckets", DEFAULT_BUCKET_COUNT),
+                      "feature_space.buckets")
     dims_doc = doc.get("dimensions")
     if dims_doc is None:
         dims = [
@@ -98,9 +112,12 @@ def _parse_feature_space(doc, scenario: ScenarioConfig) -> FeatureSpace:
                     raise ConfigError(
                         f"feature_space.dimensions[{k}] is missing {key!r}"
                     )
-            dims.append(
-                Dimension(str(entry["name"]), float(entry["lo"]), float(entry["hi"]))
-            )
+            where = f"feature_space.dimensions[{k}]"
+            dims.append(Dimension(
+                str(entry["name"]),
+                _number(float, entry["lo"], f"{where}.lo"),
+                _number(float, entry["hi"], f"{where}.hi"),
+            ))
         # Values bind to features by position, so the names must line up.
         names = [d.name for d in dims]
         features = [f.name for f in feature_bindings(scenario)]
@@ -125,7 +142,7 @@ def _parse_rulebook(doc, spec: Specification) -> rb.Rulebook:
         return rb.disconnected(len(spec))
     doc = _require_mapping(doc, "rulebook")
     _reject_unknown(doc, {"metrics", "edges"}, "rulebook")
-    metrics = int(doc.get("metrics", len(spec)))
+    metrics = _number(int, doc.get("metrics", len(spec)), "rulebook.metrics")
     edges_doc = doc.get("edges", [])
     if not isinstance(edges_doc, list):
         raise ConfigError("rulebook.edges must be a list of [i, j] pairs")
@@ -133,7 +150,7 @@ def _parse_rulebook(doc, spec: Specification) -> rb.Rulebook:
     for k, pair in enumerate(edges_doc):
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             raise ConfigError(f"rulebook.edges[{k}] must be a pair, got {pair!r}")
-        edges.append((int(pair[0]), int(pair[1])))
+        edges.append(tuple(_number(int, i, f"rulebook.edges[{k}]") for i in pair))
     return rb.build(metrics, edges)
 
 
@@ -151,7 +168,7 @@ def parse_config(doc: dict) -> CampaignConfig:
     sampler_doc = _require_mapping(doc.get("sampler", {"name": "uniform"}), "sampler")
     _reject_unknown(sampler_doc, {"name", "alpha"}, "sampler")
     sampler_name = str(sampler_doc.get("name", "uniform"))
-    alpha = float(sampler_doc.get("alpha", DEFAULT_ALPHA))
+    alpha = _number(float, sampler_doc.get("alpha", DEFAULT_ALPHA), "sampler.alpha")
 
     budget_doc = _require_mapping(doc.get("budget", {}), "budget")
     _reject_unknown(budget_doc, {"max_samples", "max_wall_seconds"}, "budget")
@@ -167,11 +184,13 @@ def parse_config(doc: dict) -> CampaignConfig:
         rulebook=rulebook,
         sampler_name=sampler_name,
         alpha=alpha,
-        max_samples=None if max_samples is None else int(max_samples),
-        max_wall_seconds=None if max_wall is None else float(max_wall),
-        workers=int(doc.get("workers", 1)),
-        seed=int(doc.get("seed", 0)),
-        delay=float(doc.get("delay", 0.0)),
+        max_samples=(None if max_samples is None
+                     else _number(int, max_samples, "budget.max_samples")),
+        max_wall_seconds=(None if max_wall is None
+                          else _number(float, max_wall, "budget.max_wall_seconds")),
+        workers=_number(int, doc.get("workers", 1), "workers"),
+        seed=_number(int, doc.get("seed", 0), "seed"),
+        delay=_number(float, doc.get("delay", 0.0), "delay"),
         output_dir=None if output_dir is None else str(output_dir),
     )
 

@@ -256,7 +256,11 @@ def spec_from_config(entries: Sequence[dict]) -> Specification:
         if not isinstance(entry, dict):
             raise SpecError(f"spec entry {k} must be a mapping, got {type(entry)}")
         kind = entry.get("metric")
-        threshold = float(entry.get("threshold", DEFAULT_THRESHOLD))
+        try:
+            threshold = float(entry.get("threshold", DEFAULT_THRESHOLD))
+        except (TypeError, ValueError) as exc:
+            raise SpecError(f"spec entry {k}: threshold must be a number, "
+                            f"got {entry['threshold']!r}") from exc
         if kind == "min_separation":
             unknown = set(entry) - {"metric", "agent", "threshold"}
             if unknown:

@@ -84,12 +84,16 @@ class Sampler:
     and optionally ``_absorb(feedback)``.  ``rng`` is the sample's own
     Generator, seeded by ``(seed, sample_id)``; a sampler whose draw reads
     none sets ``draws_rng = False`` and gets None, so none is built.  A
+    sampler whose draw reads no feedback either sets ``feedback_free =
+    True``: its ``draw(sid)`` then depends on the seed and the id alone,
+    so any copy of it, in any process, draws sample ``sid`` alike.  A
     sampler is built over its feature space and needs a rulebook once it
     is fed a counterexample.
     """
 
     name = "base"
     draws_rng = True
+    feedback_free = False
 
     def __init__(
         self, space: FeatureSpace, seed: int, rulebook: Rulebook | None = None
@@ -109,9 +113,15 @@ class Sampler:
     # -- sampling ----------------------------------------------------------
 
     def next_sample(self) -> SampleVector:
-        sid = self.issued
-        values, buckets = self._draw(sid, self._rng(sid) if self.draws_rng else None)
+        sample = self.draw(self.issued)
         self.issued += 1
+        return sample
+
+    def draw(self, sample_id: int) -> SampleVector:
+        """Sample ``sample_id``; counts nothing, and for a feedback-free
+        sampler changes nothing either."""
+        rng = self._rng(sample_id) if self.draws_rng else None
+        values, buckets = self._draw(sample_id, rng)
         return SampleVector(
             tuple(float(v) for v in values), tuple(int(b) for b in buckets)
         )
@@ -177,6 +187,7 @@ class Sampler:
 
 class UniformSampler(Sampler):
     name = "uniform"
+    feedback_free = True
 
     def _draw(self, sample_id, rng):
         space = self.space
@@ -217,6 +228,7 @@ class HaltonSampler(Sampler):
 
     name = "halton"
     draws_rng = False
+    feedback_free = True
 
     def __init__(self, space, seed, rulebook=None):
         super().__init__(space, seed, rulebook)
@@ -334,11 +346,11 @@ class MultiArmedBanditSampler(Sampler):
             # Ties for every dimension at once.  A single tied bucket needs
             # no draw: rng.integers(1) returns 0 and leaves the stream as is.
             q = self.ucb_scores()
-            tied = q == q.max(axis=1, keepdims=True)
-            buckets = tied.argmax(axis=1).tolist()
-            for i in np.flatnonzero(tied.sum(axis=1) > 1).tolist():
-                ties = np.flatnonzero(tied[i])
-                buckets[i] = int(ties[rng.integers(ties.size)])
+            buckets = []
+            for row in (q == q.max(axis=1, keepdims=True)).tolist():
+                ties = [j for j, tied in enumerate(row) if tied]
+                buckets.append(ties[rng.integers(len(ties))] if len(ties) > 1
+                               else ties[0])
         return space.sample_in_buckets(buckets, rng), buckets
 
     # -- feedback ----------------------------------------------------------

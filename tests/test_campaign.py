@@ -9,6 +9,7 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -318,10 +319,7 @@ def test_process_workers_return_the_inline_results(scenario):
 
 def _halton_values(config, sid):
     """The values of sample ``sid`` in the config's Halton stream."""
-    sampler = sa.make_sampler("halton", config.space, config.seed)
-    for _ in range(sid):
-        sampler.next_sample()
-    return sampler.next_sample().values
+    return sa.make_sampler("halton", config.space, config.seed).draw(sid).values
 
 
 def test_dead_worker_process_aborts_with_the_partial_result(monkeypatch):
@@ -413,28 +411,93 @@ def test_ctrl_c_keeps_a_callers_own_handler():
 
 
 def test_worker_processes_exit_when_the_coordinator_end_closes():
-    pool = ca._Pool(ca._Runner(make_config(workers=2)))
-    pool.start(2, forked=True)
-    for conn, _, _ in pool.workers:
-        conn.close()  # as the coordinator's death would
-    for _, _, process in pool.workers:
-        process.join(timeout=10)
-        assert process.exitcode == 0
+    # A claiming worker (halton) finds out on its next answer; a fed one
+    # (mab) waits for a task and reads EOF.
+    for sampler in ("halton", "mab"):
+        pool = ca._Pool(ca._Runner(
+            make_config(sampler_name=sampler, max_samples=10**6, workers=2)))
+        pool.start(2, forked=True)
+        for conn in pool.conns:
+            conn.close()  # as the coordinator's death would
+        for process in pool.workers:
+            process.join(timeout=10)
+            assert process.exitcode == 0, sampler
 
 
 def test_dispatch_to_a_dead_worker_process_is_a_package_error():
-    pool = ca._Pool(ca._Runner(make_config(workers=2)))
+    pool = ca._Pool(ca._Runner(make_config(sampler_name="mab", workers=2)))
     pool.start(2, forked=True)
     try:
-        process = pool.workers[0][2]
+        process = pool.workers[0]
         process.kill()
         process.join(timeout=10)
         assert not process.is_alive()
         with pytest.raises(FalsifyError, match="worker 0 died before sample 0"):
-            pool._send(0, pool.runner.dispatch())
+            pool._feed(0)
+        # Worker 1 was never fed; the drain must still hear it finish.
+        drain = threading.Thread(target=pool.drain, daemon=True)
+        drain.start()
+        drain.join(timeout=10)
+        assert not drain.is_alive()
     finally:
         pool.close()
     assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("budget", [
+    {"max_samples": 50},
+    {"max_samples": None, "max_wall_seconds": 0.3},
+])
+@pytest.mark.parametrize("sampler", ["halton", "uniform"])
+def test_claimed_ids_are_dense_over_dispatched_samples(sampler, budget):
+    # Forked workers claim their own ids; the coordinator takes their count.
+    config = make_config("1", sampler_name=sampler, workers=2, **budget)
+    result = ca.run_campaign(config)
+    assert [r.id for r in result.records] == list(range(result.dispatched))
+    assert result.failed == 0
+    assert result.snapshot["issued"] == result.snapshot["completed"] == result.dispatched
+    if config.max_samples is not None:
+        assert result.dispatched == 50
+    else:
+        assert result.dispatched > 0 and result.wall_seconds >= 0.3
+    assert multiprocessing.active_children() == []
+
+
+def test_claiming_threads_lose_no_update():
+    # More claiming threads than cores, switching as often as the
+    # interpreter allows: a claim that read the shared count without the
+    # lock would hand out one id twice and skip another.
+    config = make_config("1", sampler_name="halton", max_samples=300, workers=8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        result = ca.run_campaign(config, simulate_fn=ca.default_simulator)
+    finally:
+        sys.setswitchinterval(interval)
+    stream = sa.make_sampler("halton", config.space, config.seed)
+    assert [r.id for r in result.records] == list(range(300)) == list(
+        range(result.dispatched))
+    assert [r.sample for r in result.records] == [stream.draw(i) for i in range(300)]
+    assert result.snapshot["issued"] == result.snapshot["completed"] == 300
+
+
+def test_ctrl_c_stops_claiming_worker_processes():
+    config = make_config("1", sampler_name="halton", max_samples=None,
+                         max_wall_seconds=30.0, workers=2)
+    timer = threading.Timer(0.3, os.kill, (os.getpid(), signal.SIGINT))
+    timer.start()
+    try:
+        with pytest.raises(ca.CampaignInterrupted) as err:
+            ca.run_campaign(config)
+    finally:
+        timer.cancel()
+    partial = err.value.partial
+    assert partial.wall_seconds < 10
+    ids = [r.id for r in partial.records]
+    assert ids and ids == list(range(partial.dispatched))
+    assert partial.snapshot["issued"] == partial.dispatched
+    assert multiprocessing.active_children() == []
+    assert signal.getsignal(signal.SIGINT) is signal.default_int_handler
 
 
 def test_setup_does_not_import_multiprocessing():

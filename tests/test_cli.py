@@ -5,6 +5,7 @@ import dataclasses
 import json
 import multiprocessing
 import os
+import re
 import signal
 import time
 from pathlib import Path
@@ -20,7 +21,7 @@ from falsify.campaign import (
     run_campaign,
 )
 from falsify.config import example_config, parse_config
-from falsify.errors import ConfigError
+from falsify.errors import ConfigError, FalsifyError
 from falsify.samplers import make_sampler
 from falsify.scenarios import ScenarioConfig, simulate
 
@@ -102,6 +103,28 @@ def test_run_rejects_dimensions_that_misname_the_features(tmp_path, capsys):
     rc, _, err = run_cli(capsys, "run", str(path))
     assert rc == 2
     assert "'ego_speed', 'ego_distance', 'adv_speed', 'adv_distance'" in err
+
+
+@pytest.mark.parametrize("where, edit, named", [
+    ("workers", lambda doc: doc.update(workers="x"), "workers must be an integer, got 'x'"),
+    ("lo", lambda doc: doc["feature_space"]["dimensions"][0].update(lo="a"),
+     "feature_space.dimensions[0].lo must be a number, got 'a'"),
+    ("max_samples", lambda doc: doc["budget"].update(max_samples=[3]),
+     "budget.max_samples must be an integer, got [3]"),
+    ("threshold", lambda doc: doc["spec"][0].update(threshold="near"),
+     "threshold must be a number, got 'near'"),
+])
+def test_run_rejects_a_non_numeric_value(tmp_path, capsys, where, edit, named):
+    doc = example_config("1")
+    edit(doc)
+    with pytest.raises(FalsifyError, match=re.escape(named)):
+        parse_config(doc)
+    doc["output_dir"] = str(tmp_path / "run")
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(doc))
+    rc, out, err = run_cli(capsys, "run", str(path))
+    assert rc == 2 and out == ""
+    assert named in err and "Traceback" not in err
 
 
 def test_run_rejects_invalid_json(tmp_path, capsys):
@@ -386,6 +409,23 @@ def test_report_malformed_run_dir_exits_2(tmp_path, capsys):
     rc, out, err = run_cli(capsys, "report", str(out_dir))
     assert rc == 2 and out == ""
     assert f"malformed {path}, line 40" in err
+
+
+@pytest.mark.parametrize("command", ["report", "compare"])
+@pytest.mark.parametrize("edit", [
+    lambda summary: summary.update(dispatched="x"),
+    lambda summary: summary["totals"].update(wall_seconds="soon"),
+    lambda summary: summary["config"].update(workers="x"),
+], ids=["dispatched", "wall_seconds", "config-workers"])
+def test_non_numeric_summary_field_exits_2(tmp_path, capsys, command, edit):
+    out_dir = make_run(tmp_path, capsys, "halton", "h")
+    summary = read_summary(out_dir)
+    edit(summary)
+    (out_dir / "summary.json").write_text(json.dumps(summary))
+    dirs = [str(out_dir)] * (2 if command == "compare" else 1)
+    rc, out, err = run_cli(capsys, command, *dirs)
+    assert rc == 2 and out == ""
+    assert f"malformed {out_dir / 'summary.json'}" in err
 
 
 # ---------------------------------------------------------------------------
