@@ -80,7 +80,8 @@ _kernels_lock = threading.Lock()
 def _structure(scene):
     """The ints a generated kernel depends on: ``(modes, rules)``.
 
-    ``rules[a]`` holds ``(type, target)`` for each of agent a's rules.
+    ``rules[a]`` holds ``(type, target)`` for each of agent a's rules; the
+    target is another agent.
     Every value is checked, because the kernel source is built from these
     ints and nothing else.
     """
@@ -92,7 +93,7 @@ def _structure(scene):
     rules = []
     for a, agent_rules in enumerate(scene.rules):
         for rt, tgt, *_ in agent_rules:
-            if rt not in range(1, len(_RULE_NAMES)) or tgt not in range(n):
+            if rt not in range(1, len(_RULE_NAMES)) or tgt not in range(n) or tgt == a:
                 raise DomainError(f"agent {a}: bad rule type {rt!r} or target {tgt!r}")
         rules.append(tuple((int(rt), int(tgt)) for rt, tgt, *_ in agent_rules))
     return tuple(int(m) for m in scene.mode), tuple(rules)
@@ -102,6 +103,9 @@ def _structure(scene):
 # minimum; a q below TINY (or NaN) keeps every later frame.
 TIE = 1.0 + 2.0 ** -48
 TINY = 2.0 ** -900
+# The ego's brake-ahead rule with trigger f0 and corridor f2 can fire only
+# on a target whose q is below fl(f0*f0 + f2*f2) * REACH.
+REACH = 1.0 + 2.0 ** -20
 
 
 def _near(dx, dy, r, neg_r) -> str:
@@ -114,22 +118,44 @@ def _near(dx, dy, r, neg_r) -> str:
             f" and hypot(dx, dy) < {r}")
 
 
+def _ahead(dx, dy, co, sn, f0, f2) -> str:
+    """Source for the brake-ahead test: the target lies within f0 ahead, f2 across.
+
+    ``(dx, dy)`` runs from the braking agent to its target, and ``co, sn``
+    are the agent's cos and sin of its heading.
+    """
+    return (f"0.0 < (dx := {dx}) * {co} + (dy := {dy}) * {sn} < {f0}"
+            f" and abs(-dx * {sn} + dy * {co}) < {f2}")
+
+
+def _reach(emit, depth, lim, f0, f2):
+    """Emit ``lim = fl(f0*f0 + f2*f2) * REACH``, or NaN where it proves nothing.
+
+    A NaN ``lim`` makes the gate ``not q >= lim`` pass every target; see
+    ``_kernel_source`` for why a q at or above a finite ``lim`` cannot fire.
+    """
+    emit(depth, f"{lim} = ({f0} * {f0} + {f2} * {f2}) * reach",
+         f"if not tiny <= {lim} < inf:")
+    emit(depth + 1, f"{lim} = nan")
+
+
 def _track(emit, depth, a, crash=True):
     """Emit agent a's step of the minima kernel for one frame.
 
     The step keeps the agent's legs from the ego, ``dx{a}, dy{a}``, if they
-    are near its running minimum (see ``_kernel_source``).  With ``crash``, a
+    are near its running minimum (see ``_kernel_source``).  Their squared
+    length stays in ``q{a}`` for the rest of the frame.  With ``crash``, a
     kept frame also runs the crash test, which sets ``term``.
     """
-    dx, dy, c, qm, qb = f"dx{a}", f"dy{a}", f"lg{a}", f"qm{a}", f"qb{a}"
-    emit(depth, f"q = {dx} * {dx} + {dy} * {dy}", f"if not q > {qb}:")
-    emit(depth + 1, "if not q >= tiny:")
+    dx, dy, q, c, qm, qb = f"dx{a}", f"dy{a}", f"q{a}", f"lg{a}", f"qm{a}", f"qb{a}"
+    emit(depth, f"{q} = {dx} * {dx} + {dy} * {dy}", f"if not {q} > {qb}:")
+    emit(depth + 1, f"if not {q} >= tiny:")
     emit(depth + 2, f"{c} += {dx}, {dy}", f"{qm}, {qb} = -inf, inf")
-    emit(depth + 1, f"elif (b := q * tie) < {qm}:")
-    emit(depth + 2, f"{c} = [{dx}, {dy}]", f"{qm}, {qb} = q, b")
+    emit(depth + 1, f"elif (b := {q} * tie) < {qm}:")
+    emit(depth + 2, f"{c} = [{dx}, {dy}]", f"{qm}, {qb} = {q}, b")
     emit(depth + 1, f"elif not {c} or {dx} != {c}[-2] or {dy} != {c}[-1]:")
-    emit(depth + 2, f"{c} += {dx}, {dy}", f"if q < {qm}:")
-    emit(depth + 3, f"{qm}, {qb} = q, b")
+    emit(depth + 2, f"{c} += {dx}, {dy}", f"if {q} < {qm}:")
+    emit(depth + 3, f"{qm}, {qb} = {q}, b")
     if crash:
         emit(depth + 1, f"if {_near(dx, dy, 'crash_dist', 'ncrash')}:")
         emit(depth + 2, f"term = {CODE_CRASH}")
@@ -182,8 +208,8 @@ def _kernel_source(modes, rules, minima=False) -> str:
       non-finite coordinate stays non-finite, and the last frame's leg
       gives the minimum over all frames.
 
-    Two shortcuts skip ``math`` calls whose outcome is already known, so
-    the trajectories stay bit-identical:
+    Four shortcuts skip work whose outcome is already known, so the
+    trajectories stay bit-identical:
 
     - Each agent keeps ``cos`` and ``sin`` of its heading (``co0, sn0``)
       and recomputes them only when the heading no longer compares equal
@@ -198,6 +224,33 @@ def _kernel_source(modes, rules, minima=False) -> str:
       ``max(|dx|, |dy|)`` is a float no larger than the exact length, so
       the result is never below it: whenever the guard fails, the test
       fails too.  A NaN leg fails both.
+    - A lane agent's heading is ``atan2(e, 1.0)`` with
+      ``e = lat_gain * (y_des - y)``.  When ``e == 0.0`` the kernel sets
+      ``h = e``: CPython's ``math.atan2(+-0.0, 1.0)`` returns its first
+      argument exactly, sign included.  NaN never compares equal, so it
+      reaches the call.
+    - In the minima kernel, an ego brake-ahead rule with trigger f0 and
+      corridor f2 first checks ``not q >= lim``, where q is its target's
+      q from the tracking step (the same frame-k legs, negated) and
+      ``lim = fl(f0*f0 + f2*f2) * REACH`` with REACH = 1 + 2**-20: a
+      broad phase before the exact test.  Write r for the exact length
+      of the rounded legs and m = sqrt(co**2 + sn**2), where
+      m**2 >= (1 - 2u)**2 since ``cos`` and ``sin`` err by under 1 ulp.
+      ``along`` and ``cross`` are each within 2u * (|dx co| + |dy sn|)
+      <= 2u * r * m of their exact values, whose pair has length r * m.
+      So if ``0 < along < f0`` and ``|cross| < f2`` hold on the rounded
+      values, r * m < sqrt(f0**2 + f2**2) + 2u * sqrt(2) * r * m, and the
+      exact dx**2 + dy**2 is at most (f0**2 + f2**2)(1 + c*u) with c
+      about 10.  q is within (1 +- 2u) of it and fl(f0*f0 + f2*f2) within
+      (1 +- 2u) of f0**2 + f2**2, so a rule that fires has q < lim, far
+      inside the 2**-20 margin: ``q >= lim`` means it cannot fire.  That
+      needs a finite ``lim`` no smaller than TINY, so that no square
+      underflows enough to matter; any other ``lim`` (from an infinite
+      or NaN trigger or corridor, say) is set to NaN, and then no target
+      is skipped.  An infinite q is at or above a finite ``lim`` and
+      skips.  With finite legs the bound above covers it; a non-finite
+      leg makes ``along`` or ``cross`` infinite or NaN, so the full test
+      cannot fire on it either.  A NaN q never skips.
     """
     agents = range(len(modes))
     lines = []
@@ -238,9 +291,13 @@ def _kernel_source(modes, rules, minima=False) -> str:
             if rt not in _BRAKES:
                 emit(1, f"s{a}_{j} = 0.0")
     if minima:
-        emit(1, "inf = math.inf", f"tie, tiny = {TIE!r}, {TINY!r}")
+        emit(1, "inf, nan = math.inf, math.nan",
+             f"tie, tiny, reach = {TIE!r}, {TINY!r}, {REACH!r}")
         for a in agents[1:]:
             emit(1, f"qm{a} = qb{a} = inf", f"lg{a} = []")
+        for j, (rt, _) in enumerate(rules[0]):
+            if rt == RULE_BRAKE_AHEAD:
+                _reach(emit, 1, f"lim0_{j}", f"f0_{j}_0", f"f0_{j}_2")
     else:
         emit(1, "rec_pos, rec_heading, rec_speed = [], [], []")
     emit(1, f"term = {CODE_TIME_LIMIT}", "last = max_frames - 1",
@@ -290,10 +347,9 @@ def _kernel_source(modes, rules, minima=False) -> str:
             f0, f1, f2, s = f"f{a}_{j}_0", f"f{a}_{j}_1", f"f{a}_{j}_2", f"s{a}_{j}"
             gap_below_f0 = _near(f"x{b} - x{a}", f"y{b} - y{a}", f0, f"nf{a}_{j}")
             if rt == RULE_BRAKE_AHEAD:
-                emit(2, f"dx = x{b} - x{a}", f"dy = y{b} - y{a}",
-                     f"along = dx * co{a} + dy * sn{a}",
-                     f"cross = -dx * sn{a} + dy * co{a}",
-                     f"if 0.0 < along < {f0} and abs(cross) < {f2}:")
+                ahead = _ahead(f"x{b} - x{a}", f"y{b} - y{a}", f"co{a}", f"sn{a}", f0, f2)
+                reach = f"not q{b} >= lim0_{j} and " if minima and a == 0 else ""
+                emit(2, f"if {reach}{ahead}:")
             elif rt == RULE_BRAKE_NEAR:
                 emit(2, f"if {gap_below_f0}:")
             elif rt == RULE_BOOST_ON_LATERAL:
@@ -322,7 +378,7 @@ def _kernel_source(modes, rules, minima=False) -> str:
             emit(2, f"if i{a} < n{a}:")
             steer(3, a, f"atan2(wy{a} - y{a}, wx{a} - x{a})")
         else:
-            steer(2, a, f"atan2(lat_gain * (y_des - y{a}), 1.0)")
+            steer(2, a, f"e if (e := lat_gain * (y_des - y{a})) == 0.0 else atan2(e, 1.0)")
         emit(2, f"if v{a} < ts:")
         emit(3, f"u = v{a} + acc{a} * dt", f"v{a} = u if u < ts else ts")
         emit(2, f"elif v{a} > ts:")

@@ -343,13 +343,19 @@ def test_report_halton_has_ci(tmp_path, capsys):
     assert "note" not in doc
 
 
+def adaptive_note(sampler):
+    """The one sentence report and compare print for an adaptive sampler."""
+    return (f"confidence interval omitted: the {sampler!r} sampler adapts to "
+            "feedback, so its hit rate is a biased estimate of the unsafe probability")
+
+
 def test_report_mab_omits_ci_with_note(tmp_path, capsys):
     out_dir = make_run(tmp_path, capsys, "mab", "m")
     rc, out, _ = run_cli(capsys, "report", str(out_dir))
     assert rc == 0
     doc = json.loads(out)
     assert doc["ci_lo"] is None and doc["ci_hi"] is None
-    assert "note" in doc and "mab" in doc["note"]
+    assert doc["note"] == adaptive_note("mab")
 
 
 def test_report_writes_scatter_csv(tmp_path, capsys):
@@ -448,7 +454,7 @@ def test_compare_adaptive_samplers_counts_and_diversity_only(tmp_path, capsys):
     assert rc == 0
     doc = json.loads(out)
     assert doc["ci_width_ratio"] is None
-    assert "ci_width_ratio_note" in doc
+    assert doc["ci_width_ratio_note"] == adaptive_note("mab")
     expected_a = sum(1 for r in read_records(dir_mab) if r.is_counterexample)
     expected_b = sum(1 for r in read_records(dir_ce) if r.is_counterexample)
     assert doc["counterexamples"] == {"a": expected_a, "b": expected_b}

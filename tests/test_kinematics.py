@@ -417,6 +417,7 @@ def test_generated_kernel_depends_on_structure_only():
     ("rule_type", (6, 1)),
     ("rule_target", (1, 2)),
     ("rule_target", (1, 0.5)),
+    ("rule_target", (kin.RULE_BRAKE_AHEAD, 0)),  # the ego aimed at itself
 ])
 def test_generated_kernel_rejects_bad_structure(field, value):
     b = kin.SceneBuilder()
@@ -502,11 +503,82 @@ def test_hypot_is_never_below_either_leg(dx, dy):
     assert math.hypot(dx, dy) >= max(abs(dx), abs(dy))
 
 
-def test_generated_kernel_skips_known_math_calls():
-    """The trig cache and the hypot guards, pinned by a count.
+@pytest.mark.parametrize("zero", [0.0, -0.0])
+def test_atan2_returns_a_zero_numerator(zero):
+    # What lets a lane agent on its lane skip the atan2 call.
+    got = math.atan2(kin.LATERAL_GAIN * zero, 1.0)
+    assert got == 0.0 and math.copysign(1.0, got) == math.copysign(1.0, zero)
 
-    Without them the kernel makes about 22 hypot, cos and sin calls per
-    frame on these m=5 intersection draws; with them, about 1.
+
+@functools.cache
+def reach_gate():
+    """The minima kernel's reach bound and brake-ahead test, on their own.
+
+    ``gate(tx, ty, h, f0, f2)`` takes the legs from an ego with heading h to
+    its target and returns ``(q, lim, fires)``: the target's q as the
+    tracking step computes it (from the negated legs), the rule's ``lim``
+    (``kin._reach``), and whether the full test (``kin._ahead``) fires.
+    """
+    lines = ["def gate(tx, ty, h, f0, f2):", "    inf, nan = math.inf, math.nan",
+             f"    tiny, reach = {kin.TINY!r}, {kin.REACH!r}"]
+    kin._reach(lambda depth, *texts: lines.extend("    " * depth + t for t in texts),
+               1, "lim", "f0", "f2")
+    lines += ["    dx1, dy1 = -tx, -ty", "    q = dx1 * dx1 + dy1 * dy1",
+              "    co, sn = math.cos(h), math.sin(h)",
+              f"    return q, lim, bool({kin._ahead('tx', 'ty', 'co', 'sn', 'f0', 'f2')})"]
+    namespace = {"math": math}
+    exec("\n".join(lines) + "\n", namespace)
+    return namespace["gate"]
+
+
+@st.composite
+def reach_cases(draw):
+    """Legs, a heading, f0 and f2, often on or near the reach boundary."""
+    half = st.integers(min_value=-120, max_value=120).map(lambda k: k / 2)
+    size = st.floats(min_value=0.0, exclude_min=True) | half.filter(lambda v: v > 0) | (
+        st.floats(min_value=1e-310, max_value=1e-150))
+    heading = st.floats(-math.pi, math.pi) | st.sampled_from(
+        [0.0, -0.0, math.pi / 2, -math.pi / 2, math.pi, math.pi / 4])
+    f0, f2, h = draw(size), draw(size), draw(heading)
+    if draw(st.booleans()):
+        leg = st.floats() | half | st.sampled_from([0.0, -0.0]) | st.floats(-1e-200, 1e-200)
+        return draw(leg), draw(leg), h, f0, f2
+    # along and cross just inside, on or just past (f0, f2), turned by h.
+    along = math.nextafter(f0, draw(st.sampled_from([0.0, f0, math.inf])))
+    cross = math.nextafter(f2, draw(st.sampled_from([0.0, f2, math.inf])))
+    cross = math.copysign(cross, draw(st.sampled_from([1.0, -1.0])))
+    c, s = math.cos(h), math.sin(h)
+    return along * c - cross * s, along * s + cross * c, h, f0, f2
+
+
+@given(reach_cases())
+@example((3.0, 4.0, 0.0, 3.0, 4.0))
+@example((math.nextafter(3.0, 0), math.nextafter(4.0, 0), 0.0, 3.0, 4.0))
+@example((1e200, 0.0, 0.0, math.inf, 1.0))
+@example((1.0, 0.0, 0.0, 1e308, 1e308))
+@example((1e-300, 0.0, 0.0, 1e-300, 1e-300))
+@example((math.inf, 0.0, 0.0, 1.0, 1.0))
+@example((0.0, -0.0, -0.0, 5e-324, 5e-324))
+@settings(max_examples=400, deadline=None)
+def test_reach_gate_never_skips_a_firing_rule(case):
+    # What makes the minima kernel's brake-ahead gate exact.
+    q, lim, fires = reach_gate()(*case)
+    f0, f2 = case[3:]
+    if fires:  # so the gate ``not q >= lim`` lets the target through
+        assert q < lim or math.isnan(lim)
+    bound = (f0 * f0 + f2 * f2) * kin.REACH
+    if kin.TINY <= bound < math.inf:
+        assert lim == bound
+    else:
+        assert math.isnan(lim)  # so ``not q >= lim`` skips nothing
+
+
+def assert_skips_known_math_calls(minima):
+    """The trig cache, the hypot guards and the lane ±0 shortcut, pinned by a count.
+
+    Without the first two the kernel makes about 22 hypot, cos and sin
+    calls per frame on these m=5 intersection draws; with them, about 1.
+    Without the shortcut it makes 4.23 atan2 calls per frame; with it, 3.23.
     """
     cfg = sc.ScenarioConfig("intersection", adversaries=5)
     bindings = sc.feature_bindings(cfg)
@@ -522,25 +594,40 @@ def test_generated_kernel_skips_known_math_calls():
         return call
 
     shim = types.SimpleNamespace(
-        **{name: counted(name) for name in ("hypot", "atan2", "cos", "sin")}
+        inf=math.inf, nan=math.nan,
+        **{name: counted(name) for name in ("hypot", "atan2", "cos", "sin")},
     )
     frames = 0
     for _ in range(12):
         scene = sc.build_scene(cfg, [rng.uniform(f.lo, f.hi) for f in bindings])
         namespace = {"math": shim}
-        exec(kin._kernel_source(*kin._structure(scene)), namespace)
-        pos, heading, speed, code = namespace["kernel"](
+        exec(kin._kernel_source(*kin._structure(scene), minima=minima), namespace)
+        out = namespace["kernel"](
             scene.pos, scene.heading, scene.speed, scene.cruise, scene.accel,
             scene.waypoints, scene.goal_x, scene.lane_y, scene.rules,
             cfg.dt, cfg.max_frames,
             kin.CRASH_DISTANCE, kin.CAPTURE_RADIUS, kin.LATERAL_GAIN,
         )
         want = oracle(scene, cfg.dt, cfg.max_frames)
-        assert code == want[3] and pos == want[0].ravel().tolist()
-        frames += len(speed) // len(scene.agents)
+        if minima:
+            legs, counts, code = out
+            got = kin.min_separations(np.array(legs).reshape(-1, 2), counts), code
+            assert_same_minima(got, recorded_minima(scene))
+        else:
+            assert out[3] == want[3] and out[0] == want[0].ravel().tolist()
+        frames += len(want[0])
     assert frames > 1000
     per_frame = (calls["hypot"] + calls["cos"] + calls["sin"]) / frames
     assert per_frame < 3.0, dict(calls)
+    assert calls["atan2"] / frames < 3.5, dict(calls)
+
+
+def test_generated_kernel_skips_known_math_calls():
+    assert_skips_known_math_calls(minima=False)
+
+
+def test_minima_kernel_skips_known_math_calls():
+    assert_skips_known_math_calls(minima=True)
 
 
 def test_same_backend_is_deterministic():
@@ -578,12 +665,13 @@ def scenes(draw):
     # Half-metre grid values can put one leg of a distance exactly on
     # CRASH_DISTANCE (0.5) or CAPTURE_RADIUS (1.5), or a gap on a trigger.
     half = st.integers(min_value=-160, max_value=160).map(lambda k: k / 2)
-    coord = st.floats(min_value=-80, max_value=80) | half
+    coord = st.floats(min_value=-80, max_value=80) | half | st.sampled_from([0.0, -0.0])
     spd = st.floats(min_value=0, max_value=15) | st.sampled_from([0.0, 5.0])
     trigger = st.floats(1, 30) | st.integers(2, 60).map(lambda k: k / 2)
-    lanes = set()
+    lanes, where = set(), []
     for i in range(n):
         pos = (draw(coord), draw(coord))
+        where.append(pos)
         if draw(st.booleans()):
             b.add_lane_agent(f"a{i}", pos, speed=draw(spd),
                              goal_x=draw(st.floats(min_value=50, max_value=200)))
@@ -604,9 +692,15 @@ def scenes(draw):
             b.brake_near(a, t, trigger=draw(trigger),
                          decel=draw(st.floats(1, 10)))
         elif kind == 1:
-            b.brake_ahead(a, t, trigger=draw(trigger),
-                          decel=draw(st.floats(1, 10)),
-                          corridor=draw(st.floats(0.5, 6)))
+            # An ego's target may start on the reach boundary of the minima
+            # kernel's brake-ahead gate: f0**2 + f2**2 = dx**2 + dy**2.
+            legs = [abs(where[t][k] - where[0][k]) for k in (0, 1)]
+            if a == 0 and min(legs) >= 0.5 and draw(st.booleans()):
+                f0, f2 = (math.nextafter(v, draw(st.sampled_from([0, v, math.inf])))
+                          for v in legs)
+            else:
+                f0, f2 = draw(trigger), draw(st.floats(0.5, 6))
+            b.brake_ahead(a, t, trigger=f0, decel=draw(st.floats(1, 10)), corridor=f2)
         elif kind == 2:
             b.wait_until_near(a, t, trigger=draw(st.floats(0, 30) | half.map(abs)))
         elif kind == 3:
@@ -614,7 +708,10 @@ def scenes(draw):
                                boost_speed=draw(st.floats(0, 15)),
                                ref_y=draw(st.floats(-10, 10)))
         else:
-            b.lane_change(a, t, trigger=draw(trigger), to_y=draw(coord),
+            # A lane at the agent's own y (or its negated zero) keeps it on
+            # its lane, steering by atan2(+-0.0, 1.0).
+            on_lane = st.sampled_from([where[a][1], -where[a][1]])
+            b.lane_change(a, t, trigger=draw(trigger), to_y=draw(coord | on_lane),
                           clear_margin=draw(st.floats(0, 10) | half.map(abs)))
     return b.build()
 
@@ -694,6 +791,25 @@ def test_minima_kernel_matches_recording(make, max_frames):
 def test_minima_kernel_matches_recording_property(scene):
     assert_same_minima(kernel_minima(scene, max_frames=120),
                        recorded_minima(scene, max_frames=120))
+
+
+@pytest.mark.parametrize("cfg", [
+    *(sc.ScenarioConfig(sid) for sid in sc.scenario_ids(catalog_only=False)
+      if sid != "intersection"),
+    *(sc.ScenarioConfig("intersection", adversaries=m) for m in range(1, 9)),
+], ids=lambda cfg: cfg.scenario_id if cfg.scenario_id != "intersection"
+    else f"intersection-m{cfg.adversaries}")
+def test_minima_kernel_matches_recording_on_draws(cfg):
+    # 60 draws: every feature at its lower bound, at its midpoint, and 58
+    # uniform draws, each through both kernels.
+    bindings = sc.feature_bindings(cfg)
+    rng = np.random.default_rng(60)
+    draws = [[f.lo for f in bindings], [(f.lo + f.hi) / 2 for f in bindings]]
+    draws += [[rng.uniform(f.lo, f.hi) for f in bindings] for _ in range(58)]
+    for values in draws:
+        scene = sc.build_scene(cfg, values)
+        assert_same_minima(kernel_minima(scene, cfg.dt, cfg.max_frames),
+                           recorded_minima(scene, cfg.dt, cfg.max_frames))
 
 
 def test_minima_kernel_keeps_few_legs():
