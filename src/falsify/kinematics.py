@@ -106,6 +106,14 @@ TINY = 2.0 ** -900
 # The ego's brake-ahead rule with trigger f0 and corridor f2 can fire only
 # on a target whose q is below fl(f0*f0 + f2*f2) * REACH.
 REACH = 1.0 + 2.0 ** -20
+# The minima kernel runs its frames in chunks of CHUNK and, between two,
+# stops once the result is decided (``_decide``).  Its bounds on where an
+# agent can be carry SLACK per frame for rounding, which holds while every
+# coordinate stays below COORD_BOUND in magnitude.
+CHUNK = 32
+SLACK = 2.0 ** -28
+COORD_BOUND = 2.0 ** 20
+SHORT = 1.0 - 2.0 ** -20
 
 
 def _near(dx, dy, r, neg_r) -> str:
@@ -159,6 +167,190 @@ def _track(emit, depth, a, crash=True):
     if crash:
         emit(depth + 1, f"if {_near(dx, dy, 'crash_dist', 'ncrash')}:")
         emit(depth + 2, f"term = {CODE_CRASH}")
+
+
+def _gap2(a, b) -> str:
+    """Source for the squared gap between agents a's and b's boxes (``_decide``).
+
+    It is no larger than the q of any two points in them: see ``_kernel_source``.
+    """
+    gaps = [f"(g{z} := {lo}{b} - {hi}{a} if {lo}{b} > {hi}{a}"
+            f" else {lo}{a} - {hi}{b} if {lo}{a} > {hi}{b} else 0.0) * g{z}"
+            for z, lo, hi in (("x", "bxl", "bxh"), ("y", "byl", "byh"))]
+    return " + ".join(gaps)
+
+
+def _decide(emit, d, modes, rules):
+    """Emit the minima kernel's test between two chunks of frames.
+
+    Frame k + 1 is next, and no frame after ``last`` runs.  The test stops
+    the kernel with the termination the remaining frames would give, once
+    bounds prove that those frames keep no leg, so that the result is
+    decided.  ``_kernel_source`` proves each bound.  The first time, the
+    test checks the bounds' preconditions and sets ``ok``; when they fail,
+    the kernel never stops early.
+    """
+    agents = range(len(modes))
+
+    def f1s(a, kinds):
+        return [f"f{a}_{j}_1" for j, (rt, _) in enumerate(rules[a]) if rt in kinds]
+
+    def lim(a, j):
+        ego_ahead = a == 0 and rules[a][j][0] == RULE_BRAKE_AHEAD
+        return f"lim0_{j}" if ego_ahead else f"lm{a}_{j}"
+
+    def gap2(a, b):
+        return f"g{max(a, b)}" if min(a, b) == 0 else _gap2(a, b)
+
+    # A steady ego keeps heading 0 and its speed; then an agent behind it
+    # stays at least behind(a) behind (see _kernel_source).
+    steady = modes[0] == MODE_LANE and all(rt != RULE_LANE_CHANGE for rt, _ in rules[0])
+
+    def behind(a):
+        return f"x0 - x{a} + (rest * r if (r := p0 - sp{a} - slack) < 0.0 else 0.0)"
+
+    emit(d, "if not k0:")
+    emit(d + 1, "ok = 0.0 < dt < inf and 0.0 <= lat_gain < inf"
+                " and 0.0 < capture_radius < inf",
+         f"capr, caplo, slack = capture_radius * reach, capture_radius * {SHORT!r},"
+         f" {SLACK!r}",
+         "big = " + " + ".join(f"abs(pos[{a}][0]) + abs(pos[{a}][1])" for a in agents))
+    for a in agents:
+        boosts = f1s(a, {RULE_BOOST_ON_LATERAL})
+        signed = [f"speed[{a}]", f"c{a}", f"acc{a}", *boosts, *f1s(a, _BRAKES)]
+        emit(d + 1, f"sp{a} = max({', '.join([f'speed[{a}]', f'c{a}', *boosts])}) * dt",
+             f"tsl{a} = " + (f"min(c{a}, {', '.join(boosts)})" if boosts else f"c{a}"),
+             "ok = ok and " + " and ".join(f"0.0 <= {v} < inf" for v in signed)
+             + f" and -inf < heading[{a}] < inf")
+        for j, (rt, _) in enumerate(rules[a]):
+            if rt in _BRAKES | {RULE_LANE_CHANGE} and lim(a, j) != f"lim0_{j}":
+                f2 = f"f{a}_{j}_2" if rt == RULE_BRAKE_AHEAD else "0.0"
+                _reach(emit, d + 1, lim(a, j), f"f{a}_{j}_0", f2)
+        if modes[a] == MODE_LANE:
+            lanes = [f"ly{a}", *f1s(a, {RULE_LANE_CHANGE})]
+            emit(d + 1, f"ok = ok and sp{a} * lat_gain < 0.5",
+                 "big += " + " + ".join(f"abs({y})" for y in lanes))
+            if len(lanes) > 1:
+                ys = ", ".join(lanes)
+                emit(d + 1, f"yl{a}, yh{a} = min({ys}), max({ys})")
+            else:
+                emit(d + 1, f"yl{a} = yh{a} = ly{a}")
+            continue
+        emit(d + 1, f"ok = ok and sp{a} * reach < capture_radius",
+             f"ex{a}, ey{a} = wps{a}[-1]")
+    # rt{a}[i]: the box around waypoints i.., the bounds of the frozen cos
+    # and sin after the last capture, and the legs' length after i.
+    routes = [a for a in agents if modes[a] == MODE_WAYPOINT]
+    if routes:
+        emit(d + 1, "if ok:")
+        emit(d + 2, f"cone = 2.0 * slack * max_frames / capture_radius + {2.0 ** -40!r}",
+             "rts = []", "for wps, start in ("
+             + "".join(f"(wps{a}, pos[{a}]), " for a in routes) + "):")
+        emit(d + 3, "rt, j = [None] * len(wps), len(wps)",
+             "(xl, yl), tail, chain = wps[-1], 0.0, True",
+             "xh, yh = xl, yl", "cxl = cyl = inf", "cxh = cyh = -inf",
+             "for wx, wy in reversed(wps):")
+        emit(d + 4, "j -= 1", "sx, sy = wps[j - 1] if j else start",
+             "if wx < xl:", "    xl = wx", "elif wx > xh:", "    xh = wx",
+             "if wy < yl:", "    yl = wy", "elif wy > yh:", "    yh = wy",
+             "ux, uy = wx - sx, wy - sy", "leg = hypot(ux, uy)", "if chain:")
+        emit(d + 5, "if leg > 4.0 * capr:")
+        emit(d + 6, "r = (2.0 * capr if j else 0.0) / leg + cone",
+             "cxl, cxh = min(cxl, ux / leg - r), max(cxh, ux / leg + r)",
+             "cyl, cyh = min(cyl, uy / leg - r), max(cyh, uy / leg + r)")
+        emit(d + 5, "else:")
+        emit(d + 6, "cxl = cyl = -1.0", "cxh = cyh = 1.0")
+        emit(d + 5, "chain = leg <= 2.0 * capr * reach")
+        emit(d + 4, "rt[j] = xl, xh, yl, yh, cxl, cxh, cyl, cyh, tail",
+             f"tail += leg * reach + capture_radius * {2.0 ** -19!r}")
+        # Each waypoint lies within the legs' length of the initial position.
+        emit(d + 3, "rts.append(rt)", "big += tail")
+        emit(d + 2, "".join(f"rt{a}, " for a in routes) + "= rts")
+    emit(d + 1, "ok = ok and big + 2.0 * capture_radius + ("
+         + " + ".join(f"sp{a}" for a in agents) + f" + 1.0) * max_frames < {COORD_BOUND!r}")
+    emit(d, "if ok:")
+    emit(d + 1, "rest = last - k - 1", "dec = True")
+    for a in agents:  # the agents after the first undecided one are skipped
+        depth = d + 1 if a < 2 else d + 2
+        if depth > d + 1:
+            emit(d + 1, "if dec:")
+        if modes[a] == MODE_LANE:
+            emit(depth, f"bxl{a}, bxh{a} = x{a}, x{a} + (sp{a} + slack) * rest",
+                 f"byl{a} = y{a} if y{a} < yl{a} else yl{a}",
+                 f"byh{a} = y{a} if y{a} > yh{a} else yh{a}")
+        else:
+            emit(depth, f"if i{a} < n{a}:")
+            emit(depth + 1, f"xl, xh, yl, yh, cxl, cxh, cyl, cyh, _ = rt{a}[i{a}]",
+                 f"trav{a} = (sp{a} + slack) * rest",
+                 f"t{a} = (trav{a} + capr) * reach"
+                 f" - max(abs(ex{a} - x{a}), abs(ey{a} - y{a}))",
+                 f"if t{a} > 0.0:")
+            emit(depth + 2,
+                 f"xl = min(xl, ex{a} - capr + (t{a} * cxl if cxl < 0.0 else 0.0))",
+                 f"xh = max(xh, ex{a} + capr + (t{a} * cxh if cxh > 0.0 else 0.0))",
+                 f"yl = min(yl, ey{a} - capr + (t{a} * cyl if cyl < 0.0 else 0.0))",
+                 f"yh = max(yh, ey{a} + capr + (t{a} * cyh if cyh > 0.0 else 0.0))")
+            emit(depth + 1, "r = slack * rest",  # and no farther than its travel
+                 f"bxl{a} = max(min(x{a}, xl) - r, x{a} - trav{a})",
+                 f"bxh{a} = min(max(x{a}, xh) + r, x{a} + trav{a})",
+                 f"byl{a} = max(min(y{a}, yl) - r, y{a} - trav{a})",
+                 f"byh{a} = min(max(y{a}, yh) + r, y{a} + trav{a})")
+            emit(depth, "else:")
+            emit(depth + 1, f"t{a} = inf", f"r = (sp{a} * abs(co{a}) + slack) * rest",
+                 f"bxl{a}, bxh{a} = (x{a}, x{a} + r) if co{a} >= 0.0 else (x{a} - r, x{a})",
+                 f"r = (sp{a} * abs(sn{a}) + slack) * rest",
+                 f"byl{a}, byh{a} = (y{a}, y{a} + r) if sn{a} >= 0.0 else (y{a} - r, y{a})")
+        if not a and steady:
+            emit(depth, f"p0 = (v0 if v0 < tsl0 else tsl0) * dt * {SHORT!r} - slack",
+                 "used = False")
+        elif a:  # decided: no frame left can keep a leg of agent a
+            emit(depth, f"dec = (g{a} := {_gap2(0, a)}) > qb{a}" + (
+                f" or (bh := {behind(a)}) > 0.0 and bh * bh + gy * gy > qb{a}"
+                " and (used := True)" if steady else ""))
+    decided = "dec"
+    if steady:  # a decision that used behind() needs the ego's rules quiet
+        calm = [f"(g{b} >= {lim(0, j)} or {behind(b)} > 0.0)" if rt == RULE_BRAKE_AHEAD
+                else f"(g{b} >= {lim(0, j)} or {behind(b)} >= f0_{j}_0)"
+                if rt == RULE_BRAKE_NEAR else f"s0_{j} == 1.0"
+                for j, (rt, b) in enumerate(rules[0])
+                if rt in _BRAKES or rt == RULE_WAIT_UNTIL_NEAR]
+        decided += f" and (not used or {' and '.join(['y0 == ly0', *calm])})"
+    emit(d + 1, f"if {decided}:")
+    depth = d + 2
+    # Every agent is decided, so no crash is left: the termination is the
+    # time limit or cleared, and each needs a proof.
+    never = [f"bxh{a} < gx{a}" if modes[a] == MODE_LANE else f"t{a} <= 0.0" for a in agents]
+    emit(depth, f"if {' or '.join(never)}:")
+    emit(depth + 1, f"term = {CODE_TIME_LIMIT}", "break")
+    emit(depth, "clear = True")
+    for a in agents:
+        quiet = [f"{gap2(a, b)} >= {lim(a, j)}" if rt in _BRAKES else f"s{a}_{j} == 1.0"
+                 for j, (rt, b) in enumerate(rules[a])
+                 if rt in _BRAKES or rt == RULE_WAIT_UNTIL_NEAR]
+        emit(depth, f"if clear and {'not done' if modes[a] == MODE_LANE else 'i'}{a}"
+                    f"{'' if modes[a] == MODE_LANE else f' < n{a}'}:")
+        emit(depth + 1, f"vl = v{a} if v{a} < tsl{a} else tsl{a}")
+        if modes[a] == MODE_LANE:
+            emit(depth + 1, f"yl = yh = ly{a}")
+            for j, (rt, b) in enumerate(rules[a]):
+                if rt == RULE_LANE_CHANGE:
+                    s = f"s{a}_{j}"
+                    emit(depth + 1, f"if {s} == 1.0 or {s} == 0.0 and not"
+                                    f" {gap2(a, b)} >= {lim(a, j)}:")
+                    emit(depth + 2, f"yl, yh = min(yl, f{a}_{j}_1), max(yh, f{a}_{j}_1)")
+            emit(depth + 1,
+                 f"r = lat_gain * (max(yh, y{a}) - min(yl, y{a})) * reach",
+                 f"r = vl * dt * (1.0 - r * r) * {SHORT!r} - slack",
+                 "clear = " + " and ".join(
+                     [*quiet, "r > 0.0", f"(gx{a} - x{a}) * reach <= rest * r"]))
+        else:
+            emit(depth + 1, f"r = vl * dt * {SHORT!r} - slack",
+                 f"left = hypot(wx{a} - x{a}, wy{a} - y{a}) * reach - caplo",
+                 "clear = " + " and ".join(
+                     [*quiet, "r > 0.0", f"((left if left > 0.0 else 0.0) + rt{a}[i{a}][8])"
+                      f" * reach <= r * (rest - n{a} + i{a})"]))
+    emit(depth, "if clear:")
+    emit(depth + 1, f"term = {CODE_CLEARED}", "break")
 
 
 def _kernel_source(modes, rules, minima=False) -> str:
@@ -251,6 +443,93 @@ def _kernel_source(modes, rules, minima=False) -> str:
       skips.  With finite legs the bound above covers it; a non-finite
       leg makes ``along`` or ``cross`` infinite or NaN, so the full test
       cannot fire on it either.  A NaN q never skips.
+
+    The minima kernel runs its frames in chunks of CHUNK.  After each
+    whole chunk, ``_decide`` tries to prove the rest of the run, frames
+    k' = k + 1 to ``last``, and stops the kernel when it can.  Write
+    R = last - k' for the steps left.  Agent a is *decided* once a box
+    that holds all its positions in those frames and the ego's box are so
+    far apart that G, the squared gap between them, exceeds ``qb{a}``.
+    Rounding is monotone, so |fl(x0 - xa)| >= fl(gap_x) and
+    fl(dx*dx + dy*dy) >= G: every later frame is skipped, keeps no leg
+    and runs no crash test, as in the full run.  Once every agent is
+    decided, no crash is left, and the termination is ``cleared`` if
+    every agent finishes by frame ``last`` and ``time_limit`` otherwise.
+    So the kernel stops with ``time_limit`` if some agent cannot finish,
+    with ``cleared`` if each unfinished one must, and otherwise runs on.
+
+    The bounds hold under preconditions, checked once at the first
+    boundary (``ok``).  Every initial speed, cruise speed, acceleration,
+    brake rate and boost speed is finite and >= 0; every heading, lane
+    and waypoint coordinate is finite; 0 < dt, 0 <= lat_gain and
+    0 < capture_radius are finite; and the coordinates stay below
+    COORD_BOUND = 2**20 (their sum of magnitudes plus the reach of every
+    frame).  When they fail, the kernel runs every frame, as before.
+
+    - Speed.  The speed moves toward a target in {cruise, boost speed, 0}
+      at a rate >= 0, never past it, and is clamped at 0.  So every speed
+      lies in [0, vm] with vm = max(initial speed, cruise, boost speeds),
+      and a step along x is fl(fl(v*co)*dt), at most ``sp = fl(vm*dt)``
+      in size by monotonicity, since |co|, |sn| <= 1.
+    - Rounding.  Below 2**20 an addition errs by at most 2**-33, and
+      sp <= 2**20, so SLACK = 2**-28 per frame covers a position's
+      rounding, the errors of a step's direction and those of computing
+      the bounds: ``(sp + slack) * R`` bounds any coordinate's travel.
+    - Lane agent.  Its heading is atan2(e, 1), in [-fl(pi/2), fl(pi/2)],
+      whose ``cos`` is > 0, so x never decreases: x is in [x, x + travel].
+      With e = lat_gain * (y_des - y), |sin h| <= |h| <= |e| up to a few
+      ulps, so a step in y is at most vm*dt*lat_gain*|y_des - y| (1 + 8u)
+      in size, which is below |y_des - y| while sp * lat_gain < 1/2, and
+      has its sign.  So y stays between its own value and each y_des it
+      moves toward: ``lane_y`` and its lane-change targets.
+    - Waypoint agent.  While sp * REACH < capture_radius, a step is
+      shorter than the distance to the waypoint it heads for, which was
+      not captured, so it ends on the segment toward that waypoint, up to
+      SLACK.  Until its last capture the agent so stays in the box around
+      its position and its remaining waypoints, widened by SLACK a frame,
+      and always within its travel of where it is.  The last capture
+      needs it within ``capr`` of the last waypoint, after covering at
+      least the distance there, in the larger coordinate, less ``capr``.
+      The travel left after that, t (t <= 0 when there is none), runs
+      along the frozen ``co, sn`` of the last steer.  That steer aimed at
+      a waypoint from a point on a segment that began at the initial
+      position (waypoint 0) or within ``capr`` of waypoint j - 1
+      (waypoint j): a direction within 2 * capr / leg of the leg's, plus
+      ``cone`` for the drift of SLACK a frame seen from at least the
+      capture radius.  It aimed at the last waypoint, or at an earlier
+      one whose capture zone, like each after it, overlaps the next, so
+      that all of them are captured in one frame.  ``rt{a}[i]`` holds the
+      box around waypoints i.. and the union of those cones.  Once the
+      route is done, the ray follows ``co, sn`` themselves, and each
+      coordinate moves only in the direction of its sign.
+    - Steady ego.  A lane ego with no lane-change rule, on its lane
+      (y0 == lane_y), has e = +-0 on every frame, so its heading is +-0,
+      with co = 1 and sn = +-0, and y0 never changes.  A brake-ahead
+      rule's ``along`` is then exactly dx = xb - x0.  While none of its
+      rules fires, its speed stays at least vl (see the verdicts below)
+      and x0 gains at least p0 = vl * dt * SHORT - SLACK a frame, while
+      an agent's x gains at most sp + SLACK.  So x0 - xa at frame k' + m
+      is at least x0 - xa + m * min(0, p0 - sp - SLACK), no less than
+      ``behind(a)``, its value at one end.  A decision may use that gap
+      along x, with the boxes' gap along y (``used``), once the ego's
+      rules are shown unable to fire, by induction over the frames: a
+      brake rule whose target's box is out of reach, a brake-ahead rule
+      whose target stays behind (behind > 0, so along < 0), a brake-near
+      rule whose target stays f0 behind (its guard fails), and a wait
+      rule already released.
+    - Verdicts.  ``time_limit``: a lane agent's box ends before its
+      ``goal_x``, or a waypoint agent's t <= 0.  ``cleared``: every
+      unfinished agent's brake rules see a target box no nearer than
+      their reach bound ``lim`` (the argument above, with f2 = 0 for a
+      gap rule), and its wait rules are released.  Then its speed is at
+      least vl = min(v, cruise, boost speeds) from now on, and a step
+      gains at least ``vl * dt`` less SLACK, times cos h >= 1 - e**2 for
+      a lane agent, where e bounds |lat_gain * (y_des - y)| over the
+      y_des it can still hold.  A lane agent must cover goal_x - x in R
+      steps.  A waypoint agent covers each leg within one frame more than
+      its length over that gain, less the capture radius, so its
+      distance to its waypoint and the legs after it must fit in R less
+      one frame per leg.
     """
     agents = range(len(modes))
     lines = []
@@ -300,98 +579,107 @@ def _kernel_source(modes, rules, minima=False) -> str:
                 _reach(emit, 1, f"lim0_{j}", f"f0_{j}_0", f"f0_{j}_2")
     else:
         emit(1, "rec_pos, rec_heading, rec_speed = [], [], []")
-    emit(1, f"term = {CODE_TIME_LIMIT}", "last = max_frames - 1",
-         "for k in range(max_frames):")
+    emit(1, f"term = {CODE_TIME_LIMIT}", "last = max_frames - 1")
+    if minima:  # frames in chunks, with the test of _decide between them
+        emit(1, f"for k0 in range(0, max_frames, {CHUNK}):")
+        emit(2, f"for k in range(k0, k0 + {CHUNK}):")
+    else:
+        emit(1, "for k in range(max_frames):")
+    d = 3 if minima else 2  # the depth of the frame body
     if minima:
         for a in agents[1:]:
-            emit(2, f"dx{a} = x0 - x{a}", f"dy{a} = y0 - y{a}")
-            _track(emit, 2, a)
+            emit(d, f"dx{a} = x0 - x{a}", f"dy{a} = y0 - y{a}")
+            _track(emit, d, a)
         if len(agents) > 1:
-            emit(2, "if term:")
-            emit(3, "break")
+            emit(d, "if term:")
+            emit(d + 1, "break")
     else:
-        emit(2, f"rec_pos.extend(({row('x{a}, y{a}')}))",
+        emit(d, f"rec_pos.extend(({row('x{a}, y{a}')}))",
              f"rec_heading.extend(({row('h{a}')}))",
              f"rec_speed.extend(({row('v{a}')}))")
-    emit(2, "# Goal bookkeeping on the frame-k state.")
+    emit(d, "# Goal bookkeeping on the frame-k state.")
     for a in agents:
         if modes[a] == MODE_WAYPOINT:
             capture = _near(f"wx{a} - x{a}", f"wy{a} - y{a}", "capture_radius", "ncap")
-            emit(2, f"while i{a} < n{a} and {capture}:")
-            emit(3, f"i{a} += 1", f"if i{a} < n{a}:")
-            emit(4, f"wx{a}, wy{a} = wps{a}[i{a}]")
+            emit(d, f"while i{a} < n{a} and {capture}:")
+            emit(d + 1, f"i{a} += 1", f"if i{a} < n{a}:")
+            emit(d + 2, f"wx{a}, wy{a} = wps{a}[i{a}]")
         else:
-            emit(2, f"if x{a} >= gx{a}:")
-            emit(3, f"done{a} = True")
+            emit(d, f"if x{a} >= gx{a}:")
+            emit(d + 1, f"done{a} = True")
     if not minima:  # the minima kernel ran its crash tests with its legs
         for a in agents[1:]:
-            emit(2, f"if {_near(f'x{a} - x0', f'y{a} - y0', 'crash_dist', 'ncrash')}:")
-            emit(3, f"term = {CODE_CRASH}", "break")
-    emit(2, "if " + " and ".join(
+            emit(d, f"if {_near(f'x{a} - x0', f'y{a} - y0', 'crash_dist', 'ncrash')}:")
+            emit(d + 1, f"term = {CODE_CRASH}", "break")
+    emit(d, "if " + " and ".join(
         f"i{a} >= n{a}" if modes[a] == MODE_WAYPOINT else f"done{a}" for a in agents
     ) + ":")
-    emit(3, f"term = {CODE_CLEARED}", "break")
-    emit(2, "if k == last:")
-    emit(3, "break")
+    emit(d + 1, f"term = {CODE_CLEARED}", "break")
+    emit(d, "if k == last:")
+    emit(d + 1, "break")
     for a in agents:
         kinds = {rt for rt, _ in rules[a]}
         brakes = bool(kinds & _BRAKES)
-        emit(2, f"# Agent {a}.", f"ts = c{a}")
+        emit(d, f"# Agent {a}.", f"ts = c{a}")
         if brakes:
-            emit(2, "braking = False", "brake_rate = 0.0")
+            emit(d, "braking = False", "brake_rate = 0.0")
         if RULE_WAIT_UNTIL_NEAR in kinds:
-            emit(2, "holding = False")
+            emit(d, "holding = False")
         if modes[a] == MODE_LANE:
-            emit(2, f"y_des = ly{a}")
+            emit(d, f"y_des = ly{a}")
         for j, (rt, b) in enumerate(rules[a]):
             f0, f1, f2, s = f"f{a}_{j}_0", f"f{a}_{j}_1", f"f{a}_{j}_2", f"s{a}_{j}"
             gap_below_f0 = _near(f"x{b} - x{a}", f"y{b} - y{a}", f0, f"nf{a}_{j}")
             if rt == RULE_BRAKE_AHEAD:
                 ahead = _ahead(f"x{b} - x{a}", f"y{b} - y{a}", f"co{a}", f"sn{a}", f0, f2)
                 reach = f"not q{b} >= lim0_{j} and " if minima and a == 0 else ""
-                emit(2, f"if {reach}{ahead}:")
+                emit(d, f"if {reach}{ahead}:")
             elif rt == RULE_BRAKE_NEAR:
-                emit(2, f"if {gap_below_f0}:")
+                emit(d, f"if {gap_below_f0}:")
             elif rt == RULE_BOOST_ON_LATERAL:
-                emit(2, f"if {s} == 0.0 and abs(y{b} - {f2}) > {f0}:")
+                emit(d, f"if {s} == 0.0 and abs(y{b} - {f2}) > {f0}:")
             else:
-                emit(2, f"if {s} == 0.0 and {gap_below_f0}:")
+                emit(d, f"if {s} == 0.0 and {gap_below_f0}:")
             if rt in _BRAKES:
-                emit(3, "braking = True", f"if {f1} > brake_rate:")
-                emit(4, f"brake_rate = {f1}")
+                emit(d + 1, "braking = True", f"if {f1} > brake_rate:")
+                emit(d + 2, f"brake_rate = {f1}")
                 continue
-            emit(3, f"{s} = 1.0")
+            emit(d + 1, f"{s} = 1.0")
             if rt == RULE_WAIT_UNTIL_NEAR:
-                emit(2, f"if {s} == 0.0:")
-                emit(3, "holding = True")
+                emit(d, f"if {s} == 0.0:")
+                emit(d + 1, "holding = True")
                 continue
             if rt == RULE_LANE_CHANGE:
-                emit(2, f"if {s} == 1.0 and x{a} > x{b} + {f2}:")
-                emit(3, f"{s} = 2.0")
-            emit(2, f"if {s} == 1.0:")
-            emit(3, f"ts = {f1}" if rt == RULE_BOOST_ON_LATERAL else f"y_des = {f1}")
+                emit(d, f"if {s} == 1.0 and x{a} > x{b} + {f2}:")
+                emit(d + 1, f"{s} = 2.0")
+            emit(d, f"if {s} == 1.0:")
+            emit(d + 1, f"ts = {f1}" if rt == RULE_BOOST_ON_LATERAL else f"y_des = {f1}")
         stops = ["holding"] * (RULE_WAIT_UNTIL_NEAR in kinds) + ["braking"] * brakes
         if stops:
-            emit(2, f"if {' or '.join(stops)}:")
-            emit(3, "ts = 0.0")
+            emit(d, f"if {' or '.join(stops)}:")
+            emit(d + 1, "ts = 0.0")
         if modes[a] == MODE_WAYPOINT:
-            emit(2, f"if i{a} < n{a}:")
-            steer(3, a, f"atan2(wy{a} - y{a}, wx{a} - x{a})")
+            emit(d, f"if i{a} < n{a}:")
+            steer(d + 1, a, f"atan2(wy{a} - y{a}, wx{a} - x{a})")
         else:
-            steer(2, a, f"e if (e := lat_gain * (y_des - y{a})) == 0.0 else atan2(e, 1.0)")
-        emit(2, f"if v{a} < ts:")
-        emit(3, f"u = v{a} + acc{a} * dt", f"v{a} = u if u < ts else ts")
-        emit(2, f"elif v{a} > ts:")
+            steer(d, a, f"e if (e := lat_gain * (y_des - y{a})) == 0.0 else atan2(e, 1.0)")
+        emit(d, f"if v{a} < ts:")
+        emit(d + 1, f"u = v{a} + acc{a} * dt", f"v{a} = u if u < ts else ts")
+        emit(d, f"elif v{a} > ts:")
         rate = f"(brake_rate if braking else acc{a})" if brakes else f"acc{a}"
-        emit(3, f"u = v{a} - {rate} * dt", f"v{a} = u if u > ts else ts",
+        emit(d + 1, f"u = v{a} - {rate} * dt", f"v{a} = u if u > ts else ts",
              f"if v{a} < 0.0:")
-        emit(4, f"v{a} = 0.0")
+        emit(d + 2, f"v{a} = 0.0")
         new = "n" if a in deferred else ""
-        emit(2, f"{new}x{a} = x{a} + v{a} * co{a} * dt",
+        emit(d, f"{new}x{a} = x{a} + v{a} * co{a} * dt",
              f"{new}y{a} = y{a} + v{a} * sn{a} * dt")
     if deferred:
-        emit(2, f"{row('x{a}, y{a}', deferred)} = {row('nx{a}, ny{a}', deferred)}")
+        emit(d, f"{row('x{a}, y{a}', deferred)} = {row('nx{a}, ny{a}', deferred)}")
     if minima:
+        emit(2, "else:")  # a whole chunk ran: frame k + 1 is next
+        _decide(emit, 3, modes, rules)
+        emit(3, "continue")
+        emit(2, "break")
         kept = "".join(f", *lg{a}" for a in agents[1:])
         counts = "".join(f", len(lg{a}) // 2" for a in agents[1:])
         emit(1, f"return [x0 - x0, y0 - y0{kept}], (1{counts},), term")
@@ -489,10 +777,15 @@ class SceneBuilder:
     def _add(self, name, mode, pos, speed, cruise, accel, waypoints, goal_x, lane_y):
         if name in self._names:
             raise DomainError(f"duplicate agent name {name!r}")
-        if speed < 0 or cruise < 0 or accel <= 0:
+        if not (0 <= speed < math.inf and 0 <= cruise < math.inf
+                and 0 < accel < math.inf):
             raise DomainError(
-                f"agent {name!r}: speeds must be >= 0 and accel > 0"
+                f"agent {name!r}: speeds must be finite and >= 0, accel finite and > 0"
             )
+        if not all(map(math.isfinite, [*pos, *itertools.chain(*waypoints)])):
+            raise DomainError(f"agent {name!r}: positions and waypoints must be finite")
+        if math.isnan(goal_x):
+            raise DomainError(f"agent {name!r}: goal_x must not be NaN")
         self._names.append(name)
         self._mode.append(mode)
         self._pos.append((float(pos[0]), float(pos[1])))
@@ -538,26 +831,30 @@ class SceneBuilder:
         self._rules[agent].append((rule, target, float(f0), float(f1), float(f2)))
 
     def brake_near(self, agent, target, trigger, decel):
-        if trigger <= 0 or decel <= 0:
-            raise DomainError("brake rule needs trigger > 0 and decel > 0")
+        if not (0 < trigger < math.inf and 0 < decel < math.inf):
+            raise DomainError("brake rule needs finite trigger > 0 and decel > 0")
         self._add_rule(agent, RULE_BRAKE_NEAR, target, trigger, decel)
 
     def brake_ahead(self, agent, target, trigger, decel, corridor):
         """Brake only for targets ahead of the heading within a lateral corridor."""
-        if trigger <= 0 or decel <= 0 or corridor <= 0:
+        if not (0 < trigger < math.inf and 0 < decel < math.inf
+                and 0 < corridor < math.inf):
             raise DomainError(
-                "brake-ahead rule needs trigger, decel and corridor > 0"
+                "brake-ahead rule needs finite trigger, decel and corridor > 0"
             )
         self._add_rule(agent, RULE_BRAKE_AHEAD, target, trigger, decel, corridor)
 
     def wait_until_near(self, agent, target, trigger):
-        if trigger < 0:
-            raise DomainError("wait rule needs trigger >= 0")
+        if not 0 <= trigger < math.inf:
+            raise DomainError("wait rule needs finite trigger >= 0")
         self._add_rule(agent, RULE_WAIT_UNTIL_NEAR, target, trigger)
 
     def boost_on_lateral(self, agent, target, offset_threshold, boost_speed, ref_y):
-        if offset_threshold <= 0 or boost_speed < 0:
-            raise DomainError("boost rule needs threshold > 0 and speed >= 0")
+        if not (0 < offset_threshold < math.inf and 0 <= boost_speed < math.inf
+                and math.isfinite(ref_y)):
+            raise DomainError(
+                "boost rule needs finite threshold > 0, speed >= 0 and reference y"
+            )
         self._add_rule(
             agent, RULE_BOOST_ON_LATERAL, target, offset_threshold, boost_speed, ref_y
         )
@@ -565,8 +862,11 @@ class SceneBuilder:
     def lane_change(self, agent, target, trigger, to_y, clear_margin):
         if self._mode[agent] != MODE_LANE:
             raise DomainError("lane changes apply to lane agents only")
-        if trigger <= 0 or clear_margin < 0:
-            raise DomainError("lane change needs trigger > 0 and clear margin >= 0")
+        if not (0 < trigger < math.inf and 0 <= clear_margin < math.inf
+                and math.isfinite(to_y)):
+            raise DomainError(
+                "lane change needs finite trigger > 0, clear margin >= 0 and lane y"
+            )
         self._add_rule(agent, RULE_LANE_CHANGE, target, trigger, to_y, clear_margin)
 
     def build(self) -> Scene:

@@ -60,6 +60,87 @@ def test_negative_speed_rejected():
         b.add_lane_agent("a", (0, 0), speed=-1, goal_x=100)
 
 
+def builder_with_two_lane_agents():
+    b = kin.SceneBuilder()
+    b.add_lane_agent("ego", (0, 0), speed=5, goal_x=100)
+    b.add_lane_agent("lead", (20, 0), speed=3, goal_x=100)
+    return b
+
+
+def add_agent(call, **changed):
+    def run(b):
+        if call == "lane":
+            args = dict(name="a", pos=(0.0, 0.0), speed=5.0, goal_x=100.0, cruise=5.0,
+                        accel=3.0)
+            b.add_lane_agent(**{**args, **changed})
+        else:
+            args = dict(name="a", pos=(0.0, 0.0), waypoints=[(50.0, 0.0)], speed=5.0,
+                        cruise=5.0, accel=3.0)
+            b.add_waypoint_agent(**{**args, **changed})
+    return run
+
+
+def add_rule(call, **changed):
+    defaults = {
+        "brake_near": dict(trigger=10.0, decel=5.0),
+        "brake_ahead": dict(trigger=10.0, decel=5.0, corridor=2.0),
+        "wait_until_near": dict(trigger=10.0),
+        "boost_on_lateral": dict(offset_threshold=1.0, boost_speed=9.0, ref_y=0.0),
+        "lane_change": dict(trigger=10.0, to_y=3.0, clear_margin=2.0),
+    }[call]
+    return lambda b: getattr(b, call)(0, 1, **{**defaults, **changed})
+
+
+NAN, INF = math.nan, math.inf
+BAD_VALUES = [
+    *(add_agent("lane", speed=v) for v in (NAN, INF, -1.0)),
+    *(add_agent("lane", cruise=v) for v in (NAN, INF, -1.0)),
+    *(add_agent("lane", accel=v) for v in (NAN, INF, 0.0, -1.0)),
+    *(add_agent(m, pos=p) for m in ("lane", "waypoint")
+      for p in ((NAN, 0.0), (0.0, INF), (-INF, 0.0))),
+    *(add_agent("waypoint", waypoints=[(10.0, 0.0), w]) for w in ((NAN, 0.0), (0.0, INF))),
+    add_agent("lane", goal_x=NAN),
+    *(add_rule("brake_near", trigger=v) for v in (NAN, INF, 0.0)),
+    *(add_rule("brake_near", decel=v) for v in (NAN, INF, 0.0)),
+    *(add_rule("brake_ahead", trigger=v) for v in (NAN, INF, 0.0)),
+    *(add_rule("brake_ahead", decel=v) for v in (NAN, INF, -1.0)),
+    *(add_rule("brake_ahead", corridor=v) for v in (NAN, INF, 0.0)),
+    *(add_rule("wait_until_near", trigger=v) for v in (NAN, INF, -1.0)),
+    *(add_rule("boost_on_lateral", offset_threshold=v) for v in (NAN, INF, 0.0)),
+    *(add_rule("boost_on_lateral", boost_speed=v) for v in (NAN, INF, -1.0)),
+    *(add_rule("boost_on_lateral", ref_y=v) for v in (NAN, INF, -INF)),
+    *(add_rule("lane_change", trigger=v) for v in (NAN, INF, 0.0)),
+    *(add_rule("lane_change", to_y=v) for v in (NAN, INF, -INF)),
+    *(add_rule("lane_change", clear_margin=v) for v in (NAN, INF, -1.0)),
+]
+
+
+@pytest.mark.parametrize("add", BAD_VALUES)
+def test_builder_rejects_nan_infinite_and_out_of_range_values(add):
+    b = builder_with_two_lane_agents()
+    with pytest.raises(DomainError):
+        add(b)
+
+
+def test_builder_keeps_an_infinite_goal_and_zero_wait_trigger():
+    b = builder_with_two_lane_agents()
+    b.add_lane_agent("far", (0.0, 6.0), speed=0.0, goal_x=math.inf)
+    b.wait_until_near(0, 1, trigger=0.0)
+    b.lane_change(0, 1, trigger=10.0, to_y=3.0, clear_margin=0.0)
+    assert b.build().goal_x[-1] == math.inf
+
+
+@pytest.mark.parametrize("cfg", [
+    *(sc.ScenarioConfig(sid) for sid in sc.scenario_ids(catalog_only=False)
+      if sid != "intersection"),
+    *(sc.ScenarioConfig("intersection", adversaries=m) for m in range(1, 9)),
+], ids=lambda cfg: f"{cfg.scenario_id}-m{cfg.adversaries}")
+def test_every_scenario_builds_at_its_feature_bounds(cfg):
+    bindings = sc.feature_bindings(cfg)
+    for values in ([f.lo for f in bindings], [f.hi for f in bindings]):
+        assert sc.build_scene(cfg, values).agents
+
+
 def test_lane_change_requires_lane_agent():
     b = kin.SceneBuilder()
     a = b.add_waypoint_agent("a", (0, 0), [(100, 0)], speed=5)
@@ -793,6 +874,14 @@ def test_minima_kernel_matches_recording_property(scene):
                        recorded_minima(scene, max_frames=120))
 
 
+@given(scenes())
+@settings(max_examples=60, deadline=None)
+def test_minima_kernel_matches_recording_property_to_the_horizon(scene):
+    # 300 frames, so the minima kernel may stop near the last frame.
+    assert_same_minima(kernel_minima(scene, max_frames=300),
+                       recorded_minima(scene, max_frames=300))
+
+
 @pytest.mark.parametrize("cfg", [
     *(sc.ScenarioConfig(sid) for sid in sc.scenario_ids(catalog_only=False)
       if sid != "intersection"),
@@ -800,12 +889,13 @@ def test_minima_kernel_matches_recording_property(scene):
 ], ids=lambda cfg: cfg.scenario_id if cfg.scenario_id != "intersection"
     else f"intersection-m{cfg.adversaries}")
 def test_minima_kernel_matches_recording_on_draws(cfg):
-    # 60 draws: every feature at its lower bound, at its midpoint, and 58
-    # uniform draws, each through both kernels.
+    # 103 draws: every feature at its lower bound, at its upper bound, at
+    # its midpoint, and 100 uniform draws, each through both kernels.
     bindings = sc.feature_bindings(cfg)
     rng = np.random.default_rng(60)
-    draws = [[f.lo for f in bindings], [(f.lo + f.hi) / 2 for f in bindings]]
-    draws += [[rng.uniform(f.lo, f.hi) for f in bindings] for _ in range(58)]
+    draws = [[f.lo for f in bindings], [f.hi for f in bindings],
+             [(f.lo + f.hi) / 2 for f in bindings]]
+    draws += [[rng.uniform(f.lo, f.hi) for f in bindings] for _ in range(100)]
     for values in draws:
         scene = sc.build_scene(cfg, values)
         assert_same_minima(kernel_minima(scene, cfg.dt, cfg.max_frames),
@@ -913,3 +1003,286 @@ def test_candidate_filter_keeps_a_repeated_leg_once():
     # After a leg below TINY every later frame is kept, repeats aside.
     assert keep([(0.0, 0.0), (3.0, 4.0), (3.0, 4.0), (0.0, 0.0)]) == [
         0.0, 0.0, 3.0, 4.0, 0.0, 0.0]
+
+
+# ---------------------------------------------------------------------------
+# Minima kernel: stopping once the result is decided
+# ---------------------------------------------------------------------------
+
+
+@functools.cache
+def kernel_code(structure, minima):
+    """A structure's kernel source, compiled once for ``frames_run``."""
+    return compile(kin._kernel_source(*structure, minima=minima), "<kernel>", "exec")
+
+
+def frames_run(scene, dt=0.1, max_frames=300, minima=True):
+    """Run a kernel with a counting ``range``; return (frames run, result).
+
+    Every ``range`` a kernel iterates with step 1 is a frame loop, so the
+    count is the number of frames the kernel ran.  The result is what
+    ``kernel_minima`` or ``recorded_minima`` returns.
+    """
+    count = [0]
+
+    def counting_range(*args):
+        frames = range(*args)
+        for k in frames:
+            count[0] += frames.step == 1
+            yield k
+
+    namespace = {"math": math, "range": counting_range}
+    exec(kernel_code(kin._structure(scene), minima), namespace)
+    out = namespace["kernel"](
+        scene.pos, scene.heading, scene.speed, scene.cruise, scene.accel,
+        scene.waypoints, scene.goal_x, scene.lane_y, scene.rules, dt, max_frames,
+        kin.CRASH_DISTANCE, kin.CAPTURE_RADIUS, kin.LATERAL_GAIN,
+    )
+    if minima:
+        legs, counts, code = out
+        return count[0], (kin.min_separations(np.array(legs).reshape(-1, 2), counts), code)
+    assert count[0] == len(out[2]) // len(scene.agents)
+    return count[0], recorded_minima(scene, dt, max_frames)
+
+
+def share_of_frames_run(cfg, draws, seed):
+    """Frames the minima kernel ran over the recording kernel's, on uniform draws."""
+    bindings = sc.feature_bindings(cfg)
+    rng = np.random.default_rng(seed)
+    ran = recorded = 0
+    for _ in range(draws):
+        scene = sc.build_scene(cfg, [rng.uniform(f.lo, f.hi) for f in bindings])
+        frames, got = frames_run(scene, cfg.dt, cfg.max_frames)
+        every, want = frames_run(scene, cfg.dt, cfg.max_frames, minima=False)
+        assert_same_minima(got, want)
+        ran, recorded = ran + frames, recorded + every
+    return ran / recorded
+
+
+def test_minima_kernel_stops_early_on_the_intersection():
+    # 47% of the frames run on these draws; 73% without the steady-ego
+    # bound, which decides adversaries that follow the ego down its lane.
+    cfg = sc.ScenarioConfig("intersection", adversaries=5)
+    assert share_of_frames_run(cfg, draws=60, seed=5) <= 0.60
+
+
+@pytest.mark.parametrize("sid", ["1", "2", "3", "4", "6"])
+def test_minima_kernel_stops_early_on_the_catalog(sid):
+    # 46-64% of the frames run on these draws.
+    assert share_of_frames_run(sc.ScenarioConfig(sid), draws=30, seed=6) <= 0.75
+
+
+def varied_intersection(rng):
+    """An intersection scene off the catalog's ranges: any ego speed, cruise
+    and goal, 1-8 adversaries at any distance and speed, and random rules
+    between the ego and each adversary."""
+    b = kin.SceneBuilder()
+    speed = rng.uniform(2, 14)
+    ego = b.add_lane_agent(
+        "ego", (-rng.uniform(5, 40), -sc.HALF), speed=speed,
+        cruise=rng.choice([speed, rng.uniform(2, 14)]), goal_x=rng.uniform(20, 120),
+        accel=rng.uniform(1, 4))
+    for i in range(rng.integers(1, 9)):
+        arm = sc.ARM_CYCLE[rng.integers(0, 3)]
+        lane, waypoints = sc._APPROACHES[(arm, sc.MANEUVERS[rng.integers(0, 3)])]
+        start = sc._intersection_start(arm, lane, rng.uniform(5, 90))
+        adv = b.add_waypoint_agent(f"adv{i}", start, waypoints, speed=rng.uniform(0, 14))
+        rule = rng.random()
+        if rule < 0.7:
+            b.brake_ahead(ego, adv, trigger=rng.uniform(5, 30), decel=rng.uniform(2, 10),
+                          corridor=rng.uniform(1, 6))
+        elif rule < 0.85:
+            b.brake_near(ego, adv, trigger=rng.uniform(3, 20), decel=rng.uniform(2, 10))
+        elif rule < 0.95:
+            b.wait_until_near(adv, ego, trigger=rng.uniform(3, 40))
+    return b.build()
+
+
+def overtaken_ego_scene():
+    """The fast car overtakes the ego on its lane; the ego brakes for it.
+
+    Meanwhile the slow car follows the ego, and once the ego brakes it
+    closes in to 12.47 m from the 18.50 m it kept before.  A decision on
+    the slow car that took the ego to be steady without proving that none
+    of its rules can fire would stop at frame 256 with the 18.50 m.
+    """
+    b = kin.SceneBuilder()
+    ego = b.add_lane_agent("ego", (-21.410356090274263, -3.0), speed=7.063196652532507,
+                           goal_x=54.797898443961586, accel=1.9177569348636399)
+    route = [(-3.0, -3.0), (60.0, -3.0)]
+    for name, y, speed, f0, f1, f2 in [
+        ("fast", 52.790359286338905, 8.49054224616531,
+         17.70135406976155, 8.487252649653971, 5.56492390437164),
+        ("slow", 39.45547960121207, 6.583279715701141,
+         13.323556696488064, 5.34191986053779, 1.2027105358877006),
+    ]:
+        adv = b.add_waypoint_agent(name, (-3.0, y), route, speed=speed)
+        b.brake_ahead(ego, adv, trigger=f0, decel=f1, corridor=f2)
+    for name, pos, waypoints, speed, f0, f1, f2 in [
+        ("west", (13.66811660217476, 3.0), [(-60.0, 3.0)], 5.679761752410607,
+         7.5435659232469465, 2.5131626050483504, 3.573457496866573),
+        ("south", (38.7646728589443, 3.0), [(-3.0, 3.0), (-3.0, -60.0)],
+         0.8447635656331156, 21.231469808266432, 3.227935803667248, 2.818898236888592),
+    ]:
+        adv = b.add_waypoint_agent(name, pos, waypoints, speed=speed)
+        b.brake_ahead(ego, adv, trigger=f0, decel=f1, corridor=f2)
+    return b.build()
+
+
+def test_minima_kernel_proves_the_ego_steady_before_using_it():
+    frames, got = frames_run(overtaken_ego_scene())
+    every, want = frames_run(overtaken_ego_scene(), minima=False)
+    assert_same_minima(got, want)
+    assert round(want[0][2], 2) == 12.47
+
+
+def test_minima_kernel_matches_recording_on_varied_intersections():
+    # Adversaries that follow the ego down its lane, an ego that brakes or
+    # waits late, and adversaries that stop: the steady-ego bound's cases.
+    rng = np.random.default_rng(16)
+    stopped = 0
+    for _ in range(300):
+        scene = varied_intersection(rng)
+        frames, got = frames_run(scene)
+        every, want = frames_run(scene, minima=False)
+        assert_same_minima(got, want)
+        stopped += frames < every
+    assert stopped > 150
+
+
+def cleared_scene():
+    """The ego drives to its goal while a walker walks away to its kerb."""
+    b = kin.SceneBuilder()
+    ego = b.add_lane_agent("ego", (0.0, 0.0), speed=10.0, goal_x=100.0)
+    walker = b.add_waypoint_agent("walker", (0.0, 10.0), [(0.0, 60.0)], speed=5.0)
+    b.brake_near(ego, walker, trigger=8.0, decel=6.0)
+    return b.build()
+
+
+def time_limit_scene():
+    """The ego drives away from a parked car toward a goal it cannot reach."""
+    b = kin.SceneBuilder()
+    ego = b.add_lane_agent("ego", (0.0, 0.0), speed=5.0, goal_x=1000.0)
+    parked = stationary_obstacle(b, "parked", (-10.0, 0.0))
+    b.brake_ahead(ego, parked, trigger=20.0, decel=6.0, corridor=2.0)
+    return b.build()
+
+
+@pytest.mark.parametrize("make, code", [(cleared_scene, kin.CODE_CLEARED),
+                                        (time_limit_scene, kin.CODE_TIME_LIMIT)])
+def test_minima_kernel_stops_at_the_first_chunk_with_each_verdict(make, code):
+    frames, got = frames_run(make())
+    every, want = frames_run(make(), minima=False)
+    assert_same_minima(got, want)
+    assert want[1] == code
+    assert frames == kin.CHUNK < every
+
+
+def late_brake_scene():
+    """The car would reach its goal at frame 270, but brakes for the walker."""
+    b = kin.SceneBuilder()
+    b.add_lane_agent("ego", (0.0, -100.0), speed=0.0, goal_x=-1.0)
+    car = b.add_lane_agent("car", (0.0, 0.0), speed=10.0, goal_x=270.0)
+    walker = b.add_waypoint_agent("walker", (100.0, -20.0), [(100.0, 20.0)], speed=2.0)
+    b.brake_near(car, walker, trigger=10.0, decel=6.0)
+    return b.build()
+
+
+def held_scene():
+    """The car still rolls at frame 32, but waits for an ego that never comes."""
+    b = kin.SceneBuilder()
+    ego = b.add_lane_agent("ego", (0.0, -100.0), speed=0.0, goal_x=-1.0)
+    car = b.add_lane_agent("car", (0.0, 0.0), speed=10.0, goal_x=150.0, accel=0.5)
+    b.wait_until_near(car, ego, trigger=5.0)
+    return b.build()
+
+
+def swerve_scene():
+    """The car would reach its goal at frame 285, but swerves 30 m around a slow car."""
+    b = kin.SceneBuilder()
+    b.add_lane_agent("ego", (0.0, -200.0), speed=0.0, goal_x=-1.0)
+    car = b.add_lane_agent("car", (0.0, 0.0), speed=10.0, goal_x=285.0)
+    slow = b.add_lane_agent("slow", (60.0, 0.0), speed=5.0, goal_x=65.0)
+    b.lane_change(car, slow, trigger=10.0, to_y=30.0, clear_margin=1000.0)
+    return b.build()
+
+
+@pytest.mark.parametrize("make", [late_brake_scene, held_scene, swerve_scene])
+def test_minima_kernel_does_not_clear_on_what_a_rule_can_still_change(make):
+    # Every agent is decided at frame 32, where the car, kept at its speed
+    # and heading, would finish in time; a rule that can still fire, or a
+    # wait not yet released, makes it miss the last frame.  The ego is
+    # parked out of the way, and done.
+    frames, got = frames_run(make())
+    every, want = frames_run(make(), minima=False)
+    assert_same_minima(got, want)
+    assert want[1] == kin.CODE_TIME_LIMIT and kin.CHUNK < frames
+
+
+def test_minima_kernel_bounds_the_ray_after_the_last_capture_by_a_cone():
+    # The car captures waypoint (0, 0) off its axis and then heads for
+    # (6.5, 0) at a slant that it keeps after that capture, so its ray
+    # passes the parked ego at 0.68 m, nearer than the 2 m it started at.
+    # A box that took the ray along the last leg exactly would call the
+    # car decided, and stop at frame 32 with the 2 m minimum.
+    b = kin.SceneBuilder()
+    stationary_obstacle(b, "ego", (60.0, -10.5))
+    b.add_waypoint_agent("car", (60.0, -8.5), [(0.0, 30.0), (0.0, 0.0), (6.5, 0.0)],
+                         speed=14.0)
+    frames, got = frames_run(b.build())
+    every, want = frames_run(b.build(), minima=False)
+    assert_same_minima(got, want)
+    assert got[0][1] < 0.7 and kin.CHUNK < frames < every
+
+
+def bypassing_builder(change):
+    """``cleared_scene`` changed in a way SceneBuilder rejects."""
+    def make():
+        scene = cleared_scene()
+        change(scene)
+        return scene
+    make.__name__ = change.__name__
+    return make
+
+
+def negative_accel(scene):
+    scene.accel[0] = -3.0
+    scene.cruise[0] = 20.0
+
+
+def negative_decel(scene):
+    scene.rules[0] = [(kin.RULE_BRAKE_NEAR, 1, 8.0, -6.0, 0.0)]
+    scene.pos[1] = (0.0, 4.0)
+
+
+def nan_cruise(scene):
+    scene.cruise[1] = math.nan
+
+
+def infinite_speed(scene):
+    scene.speed[1] = math.inf
+
+
+def long_waypoint_step(scene):
+    scene.speed[1] = scene.cruise[1] = 15.0  # a step of 1.5 m, the capture radius
+
+
+def far_coordinates(scene):
+    shift = 1e6
+    scene.pos[:] = [(x + shift, y) for x, y in scene.pos]
+    scene.waypoints[1] = [(x + shift, y) for x, y in scene.waypoints[1]]
+    scene.goal_x[0] += shift
+
+
+@pytest.mark.parametrize("make", [
+    bypassing_builder(change) for change in (
+        negative_accel, negative_decel, nan_cruise, infinite_speed,
+        long_waypoint_step, far_coordinates)
+], ids=lambda make: make.__name__)
+@pytest.mark.parametrize("max_frames", [1, kin.CHUNK - 1, kin.CHUNK, kin.CHUNK + 1, 300])
+def test_minima_kernel_runs_every_frame_without_its_preconditions(make, max_frames):
+    frames, got = frames_run(make(), max_frames=max_frames)
+    every, want = frames_run(make(), max_frames=max_frames, minima=False)
+    assert got[1] == want[1]
+    assert np.array_equal(got[0], want[0], equal_nan=True)
+    assert frames == every
