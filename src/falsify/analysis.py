@@ -16,13 +16,12 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import DomainError
+from .samplers import SAMPLERS
 
 _CF_MAX_ITER = 300
 _CF_EPS = 3e-16
 _CF_TINY = 1e-300
 QUANTILE_TOL = 1e-10
-
-CI_ELIGIBLE_SAMPLERS = ("uniform", "halton")
 
 
 # ---------------------------------------------------------------------------
@@ -185,8 +184,8 @@ def ci_width_ratio(parallel: CampaignStats, serial: CampaignStats) -> float:
 def coverage_stats(result, confidence: float = 0.95) -> CampaignStats:
     """Distill a CampaignResult into a CampaignStats summary.
 
-    The confidence interval is attached only for sampling strategies that
-    approximate independent random draws (uniform and Halton); adaptive
+    The confidence interval is attached only for samplers whose draws
+    ignore feedback (``feedback_free``: uniform and Halton); adaptive
     strategies bias the sample stream, so an interval over their hit rate
     would not estimate the true unsafe probability.
     """
@@ -206,7 +205,7 @@ def coverage_stats(result, confidence: float = 0.95) -> CampaignStats:
             combos.add(rec.sample.buckets)
 
     sampler = result.config.sampler_name
-    if sampler in CI_ELIGIBLE_SAMPLERS:
+    if SAMPLERS[sampler].feedback_free:
         lo, hi = clopper_pearson(k, n, confidence)
         conf: float | None = confidence
     else:

@@ -49,6 +49,7 @@ import csv
 import functools
 import json
 import logging
+import math
 import pickle
 import queue
 import threading
@@ -109,6 +110,8 @@ class CampaignConfig:
                 f"unknown sampler {self.sampler_name!r}; "
                 f"expected one of {SAMPLER_NAMES}"
             )
+        if not 0.0 < self.alpha < 1.0:
+            raise ConfigError(f"alpha must be in (0, 1), got {self.alpha}")
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
         if self.max_samples is None and self.max_wall_seconds is None:
@@ -122,8 +125,8 @@ class CampaignConfig:
             raise ConfigError(
                 f"max_wall_seconds must be > 0, got {self.max_wall_seconds}"
             )
-        if self.delay < 0:
-            raise ConfigError(f"delay must be >= 0, got {self.delay}")
+        if not 0.0 <= self.delay < math.inf:
+            raise ConfigError(f"delay must be finite and >= 0, got {self.delay}")
         if len(self.spec) != self.rulebook.metric_count:
             raise ConfigError(
                 f"spec has {len(self.spec)} metrics but the rulebook orders "
@@ -289,7 +292,6 @@ class _Runner:
         )
         self.records: list[SampleRecord] = []
         self.failed = 0
-        self.dispatched = 0
         self.interrupted = False
         self.t0 = time.perf_counter()
 
@@ -302,7 +304,7 @@ class _Runner:
         if self.interrupted:
             return False
         cfg = self.config
-        if cfg.max_samples is not None and self.dispatched >= cfg.max_samples:
+        if cfg.max_samples is not None and self.sampler.issued >= cfg.max_samples:
             return False
         if cfg.max_wall_seconds is not None and self.elapsed() >= cfg.max_wall_seconds:
             return False
@@ -311,11 +313,10 @@ class _Runner:
     # -- one sample: dispatch -> run -> handle -------------------------------
 
     def dispatch(self) -> tuple:
-        """Draw the next sample; returns the task (id, t_dispatch, sample)."""
+        """Draw the next sample, then stamp it: the task (id, t_dispatch, sample)."""
+        sid = self.sampler.issued
         sample = self.sampler.next_sample()
-        task = (self.dispatched, time.time(), sample)
-        self.dispatched += 1
-        return task
+        return sid, time.time(), sample
 
     def run(self, sample: SampleVector) -> tuple:
         """Simulate and evaluate one sample; returns its outcome for handle().
@@ -373,7 +374,7 @@ class _Runner:
             maximal=tuple(self.sampler.maximal),
             snapshot=self.sampler.snapshot(),
             wall_seconds=self.elapsed(),
-            dispatched=self.dispatched,
+            dispatched=self.sampler.issued,
             failed=self.failed,
         )
 
@@ -433,10 +434,8 @@ class _Pool:
         # fork, not spawn: a worker inherits the config, the simulator and
         # any compiled kernels without pickling, and starts in milliseconds
         # where a spawned one would import numpy and the package again.
-        if forked and "fork" in multiprocessing.get_all_start_methods():
-            ctx = multiprocessing.get_context("fork")
-        else:
-            ctx = None
+        # select.poll, below, exists only where fork does.
+        ctx = multiprocessing.get_context("fork") if forked else None
         # An anonymous shared mapping: forked workers see the coordinator's
         # pages, with none of multiprocessing.Value's ctypes imports.
         self.shared = memoryview(mmap.mmap(-1, 8 * (self.TAKEN + count))).cast("q")
@@ -507,16 +506,16 @@ class _Pool:
         is spent or the stop flag is set.
 
         The lock also covers the draw: thread workers share one sampler,
-        whose ``next_sample`` counts as it draws.  A forked worker's runner
+        whose ``next_sample`` counts as it draws.  A forked worker's sampler
         is its own copy, brought up to the shared count first.
         """
-        runner, shared = self.runner, self.shared
+        runner, sampler, shared = self.runner, self.runner.sampler, self.shared
         with self.lock:
-            runner.dispatched = runner.sampler.issued = shared[self.NEXT]
+            sampler.issued = shared[self.NEXT]
             if shared[self.STOP] or not runner.may_dispatch():
                 return None
             task = runner.dispatch()
-            shared[self.NEXT] = runner.dispatched
+            shared[self.NEXT] = sampler.issued
             shared[self.TAKEN + w] = task[0]
         return task
 
@@ -619,8 +618,7 @@ class _Pool:
     def _settle(self) -> None:
         """Claimed samples were counted by the workers: take their count."""
         if self.claiming and self.shared is not None:
-            runner = self.runner
-            runner.dispatched = runner.sampler.issued = self.shared[self.NEXT]
+            self.runner.sampler.issued = self.shared[self.NEXT]
 
     def close(self) -> None:
         self.stop()
@@ -670,10 +668,8 @@ def run_campaign(config: CampaignConfig, simulate_fn=None) -> CampaignResult:
     worker would give the same records, but its handoff per sample costs
     more than a fast simulation.  At W>1 the default simulator runs in
     forked processes and a caller's ``simulate_fn`` on threads (see the
-    module docstring); forking needs the ``fork`` start method, and
-    without it the default simulator runs on threads too.  A Ctrl-C ends
-    the campaign early with CampaignInterrupted, which carries the
-    partial result.
+    module docstring).  A Ctrl-C ends the campaign early with
+    CampaignInterrupted, which carries the partial result.
     """
     runner = _Runner(config, simulate_fn)
     pool = _Pool(runner)

@@ -108,6 +108,11 @@ def cmd_run(args) -> int:
         return _fail(str(exc), EXIT_CONFIG)
 
     out_dir = Path(config.output_dir)
+    try:  # before the campaign, so that its results have somewhere to go
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        return _fail(f"cannot create output directory {out_dir}: "
+                     f"{exc.strerror or exc}", EXIT_CONFIG)
     try:
         result = run_campaign(config)
     except (CampaignError, CampaignInterrupted) as exc:

@@ -21,6 +21,7 @@ silently ignored.
 
 from __future__ import annotations
 
+import contextlib
 import json
 from pathlib import Path
 
@@ -58,15 +59,18 @@ def _require_mapping(doc, where: str) -> dict:
 
 
 def _number(convert, value, where: str):
-    """``convert(value)`` for ``int`` or ``float``; a value that is no
-    number is a ConfigError naming its place in the document."""
-    try:
-        return convert(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(
-            f"{where} must be {'an integer' if convert is int else 'a number'}, "
-            f"got {value!r}"
-        ) from exc
+    """``convert(value)`` for ``int`` or ``float``.  Only a JSON number
+    passes, never a bool or a string, and an integer field takes only an
+    integral one; anything else is a ConfigError naming its place."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        with contextlib.suppress(ValueError, OverflowError):
+            number = convert(value)
+            if convert is float or number == value:
+                return number
+    raise ConfigError(
+        f"{where} must be {'an integer' if convert is int else 'a number'}, "
+        f"got {value!r}"
+    )
 
 
 def _reject_unknown(doc: dict, allowed: set, where: str) -> None:
@@ -95,9 +99,7 @@ def _parse_feature_space(doc, scenario: ScenarioConfig) -> FeatureSpace:
                       "feature_space.buckets")
     dims_doc = doc.get("dimensions")
     if dims_doc is None:
-        dims = [
-            Dimension(f.name, f.lo, f.hi) for f in feature_bindings(scenario)
-        ]
+        dims = feature_bindings(scenario)
     else:
         if not isinstance(dims_doc, list) or not dims_doc:
             raise ConfigError("feature_space.dimensions must be a non-empty list")

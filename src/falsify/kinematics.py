@@ -147,26 +147,29 @@ def _reach(emit, depth, lim, f0, f2):
     emit(depth + 1, f"{lim} = nan")
 
 
-def _track(emit, depth, a, crash=True):
-    """Emit agent a's step of the minima kernel for one frame.
+def _track(emit, depth, a, minima=True, crash=True):
+    """Emit agent a's step for one frame, on its legs from the ego, ``dx{a}, dy{a}``.
 
-    The step keeps the agent's legs from the ego, ``dx{a}, dy{a}``, if they
-    are near its running minimum (see ``_kernel_source``).  Their squared
-    length stays in ``q{a}`` for the rest of the frame.  With ``crash``, a
-    kept frame also runs the crash test, which sets ``term``.
+    In the minima kernel the step keeps the legs if they are near the
+    agent's running minimum (see ``_kernel_source``), and their squared
+    length stays in ``q{a}`` for the rest of the frame; only a kept frame
+    goes on to the crash test.  In the recording kernel the step is the
+    crash test alone.  The test sets ``term``; ``crash=False`` omits it.
     """
     dx, dy, q, c, qm, qb = f"dx{a}", f"dy{a}", f"q{a}", f"lg{a}", f"qm{a}", f"qb{a}"
-    emit(depth, f"{q} = {dx} * {dx} + {dy} * {dy}", f"if not {q} > {qb}:")
-    emit(depth + 1, f"if not {q} >= tiny:")
-    emit(depth + 2, f"{c} += {dx}, {dy}", f"{qm}, {qb} = -inf, inf")
-    emit(depth + 1, f"elif (b := {q} * tie) < {qm}:")
-    emit(depth + 2, f"{c} = [{dx}, {dy}]", f"{qm}, {qb} = {q}, b")
-    emit(depth + 1, f"elif not {c} or {dx} != {c}[-2] or {dy} != {c}[-1]:")
-    emit(depth + 2, f"{c} += {dx}, {dy}", f"if {q} < {qm}:")
-    emit(depth + 3, f"{qm}, {qb} = {q}, b")
+    if minima:
+        emit(depth, f"{q} = {dx} * {dx} + {dy} * {dy}", f"if not {q} > {qb}:")
+        emit(depth + 1, f"if not {q} >= tiny:")
+        emit(depth + 2, f"{c} += {dx}, {dy}", f"{qm}, {qb} = -inf, inf")
+        emit(depth + 1, f"elif (b := {q} * tie) < {qm}:")
+        emit(depth + 2, f"{c} = [{dx}, {dy}]", f"{qm}, {qb} = {q}, b")
+        emit(depth + 1, f"elif not {c} or {dx} != {c}[-2] or {dy} != {c}[-1]:")
+        emit(depth + 2, f"{c} += {dx}, {dy}", f"if {q} < {qm}:")
+        emit(depth + 3, f"{qm}, {qb} = {q}, b")
+        depth += 1
     if crash:
-        emit(depth + 1, f"if {_near(dx, dy, 'crash_dist', 'ncrash')}:")
-        emit(depth + 2, f"term = {CODE_CRASH}")
+        emit(depth, f"if {_near(dx, dy, 'crash_dist', 'ncrash')}:")
+        emit(depth + 1, f"term = {CODE_CRASH}")
 
 
 def _gap2(a, b) -> str:
@@ -195,10 +198,6 @@ def _decide(emit, d, modes, rules):
     def f1s(a, kinds):
         return [f"f{a}_{j}_1" for j, (rt, _) in enumerate(rules[a]) if rt in kinds]
 
-    def lim(a, j):
-        ego_ahead = a == 0 and rules[a][j][0] == RULE_BRAKE_AHEAD
-        return f"lim0_{j}" if ego_ahead else f"lm{a}_{j}"
-
     def gap2(a, b):
         return f"g{max(a, b)}" if min(a, b) == 0 else _gap2(a, b)
 
@@ -222,10 +221,6 @@ def _decide(emit, d, modes, rules):
              f"tsl{a} = " + (f"min(c{a}, {', '.join(boosts)})" if boosts else f"c{a}"),
              "ok = ok and " + " and ".join(f"0.0 <= {v} < inf" for v in signed)
              + f" and -inf < heading[{a}] < inf")
-        for j, (rt, _) in enumerate(rules[a]):
-            if rt in _BRAKES | {RULE_LANE_CHANGE} and lim(a, j) != f"lim0_{j}":
-                f2 = f"f{a}_{j}_2" if rt == RULE_BRAKE_AHEAD else "0.0"
-                _reach(emit, d + 1, lim(a, j), f"f{a}_{j}_0", f2)
         if modes[a] == MODE_LANE:
             lanes = [f"ly{a}", *f1s(a, {RULE_LANE_CHANGE})]
             emit(d + 1, f"ok = ok and sp{a} * lat_gain < 0.5",
@@ -309,8 +304,8 @@ def _decide(emit, d, modes, rules):
                 " and (used := True)" if steady else ""))
     decided = "dec"
     if steady:  # a decision that used behind() needs the ego's rules quiet
-        calm = [f"(g{b} >= {lim(0, j)} or {behind(b)} > 0.0)" if rt == RULE_BRAKE_AHEAD
-                else f"(g{b} >= {lim(0, j)} or {behind(b)} >= f0_{j}_0)"
+        calm = [f"(g{b} >= lm0_{j} or {behind(b)} > 0.0)" if rt == RULE_BRAKE_AHEAD
+                else f"(g{b} >= lm0_{j} or {behind(b)} >= f0_{j}_0)"
                 if rt == RULE_BRAKE_NEAR else f"s0_{j} == 1.0"
                 for j, (rt, b) in enumerate(rules[0])
                 if rt in _BRAKES or rt == RULE_WAIT_UNTIL_NEAR]
@@ -324,7 +319,7 @@ def _decide(emit, d, modes, rules):
     emit(depth + 1, f"term = {CODE_TIME_LIMIT}", "break")
     emit(depth, "clear = True")
     for a in agents:
-        quiet = [f"{gap2(a, b)} >= {lim(a, j)}" if rt in _BRAKES else f"s{a}_{j} == 1.0"
+        quiet = [f"{gap2(a, b)} >= lm{a}_{j}" if rt in _BRAKES else f"s{a}_{j} == 1.0"
                  for j, (rt, b) in enumerate(rules[a])
                  if rt in _BRAKES or rt == RULE_WAIT_UNTIL_NEAR]
         emit(depth, f"if clear and {'not done' if modes[a] == MODE_LANE else 'i'}{a}"
@@ -336,7 +331,7 @@ def _decide(emit, d, modes, rules):
                 if rt == RULE_LANE_CHANGE:
                     s = f"s{a}_{j}"
                     emit(depth + 1, f"if {s} == 1.0 or {s} == 0.0 and not"
-                                    f" {gap2(a, b)} >= {lim(a, j)}:")
+                                    f" {gap2(a, b)} >= lm{a}_{j}:")
                     emit(depth + 2, f"yl, yh = min(yl, f{a}_{j}_1), max(yh, f{a}_{j}_1)")
             emit(depth + 1,
                  f"r = lat_gain * (max(yh, y{a}) - min(yl, y{a})) * reach",
@@ -394,7 +389,9 @@ def _kernel_source(modes, rules, minima=False) -> str:
       NaN propagates as ``ndarray.min()`` propagates it.
     - The crash test runs on every frame that is not skipped.  A skipped
       frame's hypot is no smaller than that of an earlier frame, which did
-      not crash.
+      not crash.  Both kernels run it on the frame-k legs ``x0 - xa``,
+      before goal bookkeeping, which moves no agent: the reference takes
+      ``xa - x0`` after it, and hypot and its guard ignore the sign.
     - Agent 0's own leg ``x0 - x0`` is 0.0 while x0 is finite and NaN
       once it is not.  A position only ever has a step added to it, so a
       non-finite coordinate stays non-finite, and the last frame's leg
@@ -442,7 +439,9 @@ def _kernel_source(modes, rules, minima=False) -> str:
       is skipped.  An infinite q is at or above a finite ``lim`` and
       skips.  With finite legs the bound above covers it; a non-finite
       leg makes ``along`` or ``cross`` infinite or NaN, so the full test
-      cannot fire on it either.  A NaN q never skips.
+      cannot fire on it either.  A NaN q never skips.  Each brake and
+      lane-change rule's ``lim`` is set once, at the kernel's start, as
+      ``lm{a}_{j}``; ``_decide`` reads the others.
 
     The minima kernel runs its frames in chunks of CHUNK.  After each
     whole chunk, ``_decide`` tries to prove the rest of the run, frames
@@ -572,11 +571,13 @@ def _kernel_source(modes, rules, minima=False) -> str:
     if minima:
         emit(1, "inf, nan = math.inf, math.nan",
              f"tie, tiny, reach = {TIE!r}, {TINY!r}, {REACH!r}")
-        for a in agents[1:]:
-            emit(1, f"qm{a} = qb{a} = inf", f"lg{a} = []")
-        for j, (rt, _) in enumerate(rules[0]):
-            if rt == RULE_BRAKE_AHEAD:
-                _reach(emit, 1, f"lim0_{j}", f"f0_{j}_0", f"f0_{j}_2")
+        for a in agents:
+            if a:
+                emit(1, f"qm{a} = qb{a} = inf", f"lg{a} = []")
+            for j, (rt, _) in enumerate(rules[a]):
+                if rt in _BRAKES or rt == RULE_LANE_CHANGE:
+                    f2 = f"f{a}_{j}_2" if rt == RULE_BRAKE_AHEAD else "0.0"
+                    _reach(emit, 1, f"lm{a}_{j}", f"f{a}_{j}_0", f2)
     else:
         emit(1, "rec_pos, rec_heading, rec_speed = [], [], []")
     emit(1, f"term = {CODE_TIME_LIMIT}", "last = max_frames - 1")
@@ -586,17 +587,16 @@ def _kernel_source(modes, rules, minima=False) -> str:
     else:
         emit(1, "for k in range(max_frames):")
     d = 3 if minima else 2  # the depth of the frame body
-    if minima:
-        for a in agents[1:]:
-            emit(d, f"dx{a} = x0 - x{a}", f"dy{a} = y0 - y{a}")
-            _track(emit, d, a)
-        if len(agents) > 1:
-            emit(d, "if term:")
-            emit(d + 1, "break")
-    else:
+    if not minima:
         emit(d, f"rec_pos.extend(({row('x{a}, y{a}')}))",
              f"rec_heading.extend(({row('h{a}')}))",
              f"rec_speed.extend(({row('v{a}')}))")
+    for a in agents[1:]:
+        emit(d, f"dx{a} = x0 - x{a}", f"dy{a} = y0 - y{a}")
+        _track(emit, d, a, minima)
+    if len(agents) > 1:
+        emit(d, "if term:")
+        emit(d + 1, "break")
     emit(d, "# Goal bookkeeping on the frame-k state.")
     for a in agents:
         if modes[a] == MODE_WAYPOINT:
@@ -607,10 +607,6 @@ def _kernel_source(modes, rules, minima=False) -> str:
         else:
             emit(d, f"if x{a} >= gx{a}:")
             emit(d + 1, f"done{a} = True")
-    if not minima:  # the minima kernel ran its crash tests with its legs
-        for a in agents[1:]:
-            emit(d, f"if {_near(f'x{a} - x0', f'y{a} - y0', 'crash_dist', 'ncrash')}:")
-            emit(d + 1, f"term = {CODE_CRASH}", "break")
     emit(d, "if " + " and ".join(
         f"i{a} >= n{a}" if modes[a] == MODE_WAYPOINT else f"done{a}" for a in agents
     ) + ":")
@@ -632,7 +628,7 @@ def _kernel_source(modes, rules, minima=False) -> str:
             gap_below_f0 = _near(f"x{b} - x{a}", f"y{b} - y{a}", f0, f"nf{a}_{j}")
             if rt == RULE_BRAKE_AHEAD:
                 ahead = _ahead(f"x{b} - x{a}", f"y{b} - y{a}", f"co{a}", f"sn{a}", f0, f2)
-                reach = f"not q{b} >= lim0_{j} and " if minima and a == 0 else ""
+                reach = f"not q{b} >= lm0_{j} and " if minima and a == 0 else ""
                 emit(d, f"if {reach}{ahead}:")
             elif rt == RULE_BRAKE_NEAR:
                 emit(d, f"if {gap_below_f0}:")

@@ -22,7 +22,7 @@ from .errors import DomainError, SpecError
 
 EGO = "ego"
 
-# Trajectory termination reasons.
+# Trajectory termination reasons, indexed by the kernel's termination code.
 TERM_TIME_LIMIT = "time_limit"
 TERM_CRASH = "crash"
 TERM_CLEARED = "cleared"

@@ -42,8 +42,6 @@ from .space import FeatureSpace, SampleVector
 
 DEFAULT_ALPHA = 0.1
 
-SAMPLER_NAMES = ("uniform", "halton", "cross-entropy", "mab")
-
 
 @dataclass(frozen=True)
 class SampleFeedback:
@@ -413,6 +411,11 @@ def _table(rows, like: np.ndarray) -> np.ndarray:
     return table
 
 
+SAMPLERS = {cls.name: cls for cls in (
+    UniformSampler, HaltonSampler, CrossEntropySampler, MultiArmedBanditSampler)}
+SAMPLER_NAMES = tuple(SAMPLERS)
+
+
 def make_sampler(
     name: str,
     space: FeatureSpace,
@@ -421,17 +424,13 @@ def make_sampler(
     alpha: float = DEFAULT_ALPHA,
 ) -> Sampler:
     """Construct a sampler over ``space`` by strategy name."""
-    if name == "uniform":
-        return UniformSampler(space, seed, rulebook)
-    if name == "halton":
-        return HaltonSampler(space, seed, rulebook)
+    if name not in SAMPLERS:
+        raise ConfigError(f"unknown sampler {name!r}; expected one of {SAMPLER_NAMES}")
     if name == "cross-entropy":
         return CrossEntropySampler(space, seed, alpha=alpha, rulebook=rulebook)
-    if name == "mab":
-        if rulebook is None:
-            raise ConfigError("the 'mab' sampler needs a rulebook")
-        return MultiArmedBanditSampler(space, seed, rulebook)
-    raise ConfigError(f"unknown sampler {name!r}; expected one of {SAMPLER_NAMES}")
+    if name == "mab" and rulebook is None:
+        raise ConfigError("the 'mab' sampler needs a rulebook")
+    return SAMPLERS[name](space, seed, rulebook)
 
 
 def restore(

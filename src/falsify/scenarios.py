@@ -29,17 +29,13 @@ from .kinematics import Scene, SceneBuilder, min_separations, run_scene
 from .monitor import (
     DEFAULT_MAX_FRAMES,
     EGO,
-    TERM_CLEARED,
-    TERM_CRASH,
-    TERM_TIME_LIMIT,
+    TERMINATIONS,
     MinSeparation,
     SeparationMinima,
     Specification,
     Trajectory,
 )
 from .space import Dimension, FeatureSpace, SampleVector
-
-TERMINATION_BY_CODE = {0: TERM_TIME_LIMIT, 1: TERM_CRASH, 2: TERM_CLEARED}
 
 # Road geometry (not sampled).
 HALF = 3.0  # lane-center offset from the road axis: lanes are 6 m wide
@@ -59,16 +55,6 @@ MAX_INTERSECTION_ADVERSARIES = 8
 
 ARM_CYCLE = ("north", "east", "south")
 MANEUVERS = ("left", "straight", "right")
-
-
-@dataclass(frozen=True)
-class FeatureBinding:
-    """One sampled scenario parameter with its default range."""
-
-    name: str
-    lo: float
-    hi: float
-    description: str = ""
 
 
 @dataclass(frozen=True)
@@ -104,7 +90,7 @@ class ScenarioDef:
     scenario_id: str
     summary: str
     in_catalog: bool
-    features: tuple[FeatureBinding, ...]
+    features: tuple[Dimension, ...]
     builder: Callable[[ScenarioConfig, Mapping[str, float]], Scene]
 
 
@@ -303,13 +289,13 @@ _INTERSECTION_FEATURES = tuple(
     binding
     for i in range(MAX_INTERSECTION_ADVERSARIES)
     for binding in (
-        FeatureBinding(
+        Dimension(
             f"adv{i}_distance", 15.0 + 10.0 * i, 40.0 + 10.0 * i,
             "start distance from the intersection center (m); "
             "staggered per adversary so arrivals spread out",
         ),
-        FeatureBinding(f"adv{i}_speed", 3.0, 10.0, "cruise speed (m/s)"),
-        FeatureBinding(
+        Dimension(f"adv{i}_speed", 3.0, 10.0, "cruise speed (m/s)"),
+        Dimension(
             f"adv{i}_maneuver", 0.0, 3.0,
             "turn choice: [0,1) left, [1,2) straight, [2,3) right",
         ),
@@ -331,10 +317,10 @@ _register(
         "oncoming vehicle cuts across with a left turn.",
         True,
         (
-            FeatureBinding("ego_speed", 4.0, 12.0, "ego cruise speed (m/s)"),
-            FeatureBinding("ego_distance", 15.0, 55.0, "ego start distance (m)"),
-            FeatureBinding("adv_speed", 4.0, 12.0, "adversary cruise speed (m/s)"),
-            FeatureBinding("adv_distance", 15.0, 55.0, "adversary start distance (m)"),
+            Dimension("ego_speed", 4.0, 12.0, "ego cruise speed (m/s)"),
+            Dimension("ego_distance", 15.0, 55.0, "ego start distance (m)"),
+            Dimension("adv_speed", 4.0, 12.0, "adversary cruise speed (m/s)"),
+            Dimension("adv_distance", 15.0, 55.0, "adversary start distance (m)"),
         ),
         _build_1,
     )
@@ -346,10 +332,10 @@ _register(
         "vehicle that drives straight through.",
         True,
         (
-            FeatureBinding("ego_speed", 4.0, 14.0, "ego cruise speed (m/s)"),
-            FeatureBinding("ego_distance", 15.0, 55.0, "ego start distance (m)"),
-            FeatureBinding("adv_speed", 4.0, 14.0, "adversary cruise speed (m/s)"),
-            FeatureBinding("adv_distance", 15.0, 55.0, "adversary start distance (m)"),
+            Dimension("ego_speed", 4.0, 14.0, "ego cruise speed (m/s)"),
+            Dimension("ego_distance", 15.0, 55.0, "ego start distance (m)"),
+            Dimension("adv_speed", 4.0, 14.0, "adversary cruise speed (m/s)"),
+            Dimension("adv_distance", 15.0, 55.0, "adversary start distance (m)"),
         ),
         _build_2,
     )
@@ -361,10 +347,10 @@ _register(
         "once clear.",
         True,
         (
-            FeatureBinding("ego_speed", 8.0, 16.0, "ego cruise speed (m/s)"),
-            FeatureBinding("lead_speed", 2.0, 7.0, "lead cruise speed (m/s)"),
-            FeatureBinding("gap", 10.0, 40.0, "initial gap to the lead (m)"),
-            FeatureBinding("clear_margin", 1.0, 10.0, "merge-back margin (m)"),
+            Dimension("ego_speed", 8.0, 16.0, "ego cruise speed (m/s)"),
+            Dimension("lead_speed", 2.0, 7.0, "lead cruise speed (m/s)"),
+            Dimension("gap", 10.0, 40.0, "initial gap to the lead (m)"),
+            Dimension("clear_margin", 1.0, 10.0, "merge-back margin (m)"),
         ),
         _build_3,
     )
@@ -376,10 +362,10 @@ _register(
         "back in front of it.",
         True,
         (
-            FeatureBinding("ego_speed", 2.0, 8.0, "ego cruise speed (m/s)"),
-            FeatureBinding("adv_speed", 8.0, 16.0, "trailing vehicle speed (m/s)"),
-            FeatureBinding("gap", 10.0, 40.0, "initial gap behind the ego (m)"),
-            FeatureBinding("clear_margin", 1.0, 10.0, "merge-back margin (m)"),
+            Dimension("ego_speed", 2.0, 8.0, "ego cruise speed (m/s)"),
+            Dimension("adv_speed", 8.0, 16.0, "trailing vehicle speed (m/s)"),
+            Dimension("gap", 10.0, 40.0, "initial gap behind the ego (m)"),
+            Dimension("clear_margin", 1.0, 10.0, "merge-back margin (m)"),
         ),
         _build_4,
     )
@@ -391,11 +377,11 @@ _register(
         "forcing the ego to brake behind a slow vehicle in the passing lane.",
         True,
         (
-            FeatureBinding("ego_speed", 8.0, 14.0, "ego cruise speed (m/s)"),
-            FeatureBinding("lead_speed", 3.0, 7.0, "lead initial speed (m/s)"),
-            FeatureBinding("boost_speed", 8.0, 16.0, "lead speed once blocking (m/s)"),
-            FeatureBinding("lead_gap", 8.0, 25.0, "initial gap to the lead (m)"),
-            FeatureBinding(
+            Dimension("ego_speed", 8.0, 14.0, "ego cruise speed (m/s)"),
+            Dimension("lead_speed", 3.0, 7.0, "lead initial speed (m/s)"),
+            Dimension("boost_speed", 8.0, 16.0, "lead speed once blocking (m/s)"),
+            Dimension("lead_gap", 8.0, 25.0, "initial gap to the lead (m)"),
+            Dimension(
                 "blocker_gap", 25.0, 60.0, "gap to the slow passing-lane vehicle (m)"
             ),
         ),
@@ -409,10 +395,10 @@ _register(
         "ego brakes to avoid them.",
         True,
         (
-            FeatureBinding("ego_speed", 5.0, 12.0, "ego cruise speed (m/s)"),
-            FeatureBinding("approach", 20.0, 60.0, "ego start distance (m)"),
-            FeatureBinding("ped_speed", 0.8, 2.5, "pedestrian walking speed (m/s)"),
-            FeatureBinding(
+            Dimension("ego_speed", 5.0, 12.0, "ego cruise speed (m/s)"),
+            Dimension("approach", 20.0, 60.0, "ego start distance (m)"),
+            Dimension("ped_speed", 0.8, 2.5, "pedestrian walking speed (m/s)"),
+            Dimension(
                 "ped_trigger", 8.0, 45.0, "ego distance that starts the crossing (m)"
             ),
         ),
@@ -426,13 +412,13 @@ _register(
         "vehicle and the ego must both brake.",
         True,
         (
-            FeatureBinding("ego_speed", 5.0, 13.0, "ego cruise speed (m/s)"),
-            FeatureBinding("lead_gap", 8.0, 24.0, "gap to the lead vehicle (m)"),
-            FeatureBinding("lead_speed", 5.0, 13.0, "lead cruise speed (m/s)"),
-            FeatureBinding(
+            Dimension("ego_speed", 5.0, 13.0, "ego cruise speed (m/s)"),
+            Dimension("lead_gap", 8.0, 24.0, "gap to the lead vehicle (m)"),
+            Dimension("lead_speed", 5.0, 13.0, "lead cruise speed (m/s)"),
+            Dimension(
                 "ped_trigger", 8.0, 45.0, "ego distance that starts the crossing (m)"
             ),
-            FeatureBinding("ped_speed", 0.8, 2.5, "pedestrian walking speed (m/s)"),
+            Dimension("ped_speed", 0.8, 2.5, "pedestrian walking speed (m/s)"),
         ),
         _build_7,
     )
@@ -455,8 +441,8 @@ _register(
         "exactly one bucket of the first dimension at N=10.",
         False,
         (
-            FeatureBinding("u", 0.0, 1.0, "probe coordinate with the unsafe band"),
-            FeatureBinding("w", 0.0, 1.0, "inert probe coordinate"),
+            Dimension("u", 0.0, 1.0, "probe coordinate with the unsafe band"),
+            Dimension("w", 0.0, 1.0, "inert probe coordinate"),
         ),
         _build_band,
     )
@@ -468,8 +454,8 @@ _register(
         "[0.1,0.3)^2 and [0.6,0.8)^2.",
         False,
         (
-            FeatureBinding("u", 0.0, 1.0, "probe coordinate 1"),
-            FeatureBinding("w", 0.0, 1.0, "probe coordinate 2"),
+            Dimension("u", 0.0, 1.0, "probe coordinate 1"),
+            Dimension("w", 0.0, 1.0, "probe coordinate 2"),
         ),
         _build_two_region,
     )
@@ -511,7 +497,7 @@ def list_scenarios() -> list[dict]:
     return out
 
 
-def feature_bindings(cfg: ScenarioConfig) -> tuple[FeatureBinding, ...]:
+def feature_bindings(cfg: ScenarioConfig) -> tuple[Dimension, ...]:
     features = REGISTRY[cfg.scenario_id].features
     if cfg.scenario_id == "intersection":
         return features[: 3 * cfg.adversaries]
@@ -525,7 +511,7 @@ def monitored_agents(cfg: ScenarioConfig) -> tuple[str, ...]:
 
 
 def default_feature_space(cfg: ScenarioConfig) -> FeatureSpace:
-    return FeatureSpace([Dimension(f.name, f.lo, f.hi) for f in feature_bindings(cfg)])
+    return FeatureSpace(feature_bindings(cfg))
 
 
 def default_specification(cfg: ScenarioConfig) -> Specification:
@@ -553,7 +539,7 @@ def simulate(cfg: ScenarioConfig, sample: SampleVector | Sequence[float]) -> Tra
     pos, heading, speed, code = run_scene(scene, dt=cfg.dt, max_frames=cfg.max_frames)
     return Trajectory(
         scene.agents, pos, heading, speed, cfg.dt,
-        TERMINATION_BY_CODE[code], max_frames=cfg.max_frames,
+        TERMINATIONS[code], max_frames=cfg.max_frames,
     )
 
 
@@ -571,7 +557,7 @@ def simulate_minima(
         scene, dt=cfg.dt, max_frames=cfg.max_frames, minima=True
     )
     return SeparationMinima(
-        scene.agents, min_separations(legs, counts).tolist(), TERMINATION_BY_CODE[code]
+        scene.agents, min_separations(legs, counts).tolist(), TERMINATIONS[code]
     )
 
 

@@ -24,6 +24,7 @@ class Dimension:
     name: str
     lo: float
     hi: float
+    description: str = ""
 
     def __post_init__(self):
         if not (math.isfinite(self.lo) and math.isfinite(self.hi)):

@@ -89,6 +89,12 @@ def test_config_rejects_unknown_sampler():
         make_config(sampler_name="gradient")
 
 
+@pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, float("nan")])
+def test_config_rejects_alpha_outside_the_open_unit_interval(alpha):
+    with pytest.raises(ConfigError, match="alpha"):
+        make_config(sampler_name="cross-entropy", alpha=alpha)
+
+
 # ---------------------------------------------------------------------------
 # Serial loop
 # ---------------------------------------------------------------------------
@@ -769,3 +775,12 @@ def test_coverage_stats_ci_only_for_random_like_samplers():
     )
     assert halton.has_ci
     assert not mab.has_ci and mab.confidence is None
+
+
+@pytest.mark.parametrize("name", sa.SAMPLER_NAMES)
+def test_coverage_stats_attaches_an_interval_exactly_when_feedback_free(name):
+    stats = an.coverage_stats(
+        ca.run_campaign(make_config(sampler_name=name, max_samples=20))
+    )
+    assert stats.has_ci == sa.SAMPLERS[name].feedback_free
+    assert (stats.confidence is not None) == sa.SAMPLERS[name].feedback_free

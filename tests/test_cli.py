@@ -113,6 +113,20 @@ def test_run_rejects_dimensions_that_misname_the_features(tmp_path, capsys):
      "budget.max_samples must be an integer, got [3]"),
     ("threshold", lambda doc: doc["spec"][0].update(threshold="near"),
      "threshold must be a number, got 'near'"),
+    ("fractional workers", lambda doc: doc.update(workers=2.7),
+     "workers must be an integer, got 2.7"),
+    ("fractional max_samples", lambda doc: doc["budget"].update(max_samples=10.9),
+     "budget.max_samples must be an integer, got 10.9"),
+    ("fractional adversaries", lambda doc: doc["scenario"].update(adversaries=2.5),
+     "scenario.adversaries must be an integer, got 2.5"),
+    ("string workers", lambda doc: doc.update(workers="3"),
+     "workers must be an integer, got '3'"),
+    ("bool workers", lambda doc: doc.update(workers=True),
+     "workers must be an integer, got True"),
+    ("string delay", lambda doc: doc.update(delay="0.5"),
+     "delay must be a number, got '0.5'"),
+    ("bool lo", lambda doc: doc["feature_space"]["dimensions"][0].update(lo=False),
+     "feature_space.dimensions[0].lo must be a number, got False"),
 ])
 def test_run_rejects_a_non_numeric_value(tmp_path, capsys, where, edit, named):
     doc = example_config("1")
@@ -125,6 +139,45 @@ def test_run_rejects_a_non_numeric_value(tmp_path, capsys, where, edit, named):
     rc, out, err = run_cli(capsys, "run", str(path))
     assert rc == 2 and out == ""
     assert named in err and "Traceback" not in err
+
+
+def test_run_accepts_an_integral_float_for_an_integer_field(tmp_path, capsys):
+    path, out_dir = write_config(tmp_path, workers=2.0, max_samples=4.0)
+    rc, _, _ = run_cli(capsys, "run", str(path))
+    assert rc == 0
+    summary = read_summary(out_dir)
+    assert summary["config"]["workers"] == 2 and summary["totals"]["samples"] == 4
+
+
+def test_run_out_of_range_alpha_exits_2(tmp_path, capsys):
+    path, out_dir = write_config(tmp_path, sampler="cross-entropy")
+    doc = json.loads(path.read_text())
+    doc["sampler"]["alpha"] = 1.5
+    path.write_text(json.dumps(doc))
+    rc, out, err = run_cli(capsys, "run", str(path))
+    assert rc == 2 and out == ""
+    assert "alpha must be in (0, 1), got 1.5" in err and "Traceback" not in err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("delay", ["nan", "inf", "-inf"])
+def test_run_rejects_a_non_finite_delay(tmp_path, capsys, delay):
+    path, _ = write_config(tmp_path)
+    rc, out, err = run_cli(capsys, "run", str(path), f"--delay={delay}")
+    assert rc == 2 and out == ""
+    assert f"delay must be finite and >= 0, got {float(delay)}" in err
+
+
+def test_run_exits_2_before_the_campaign_if_the_output_dir_cannot_be_made(
+        tmp_path, capsys, monkeypatch):
+    path, out_dir = write_config(tmp_path)
+    out_dir.write_text("a file, not a directory")
+    ran = []
+    monkeypatch.setattr(cli, "run_campaign", lambda *args: ran.append(args))
+    rc, out, err = run_cli(capsys, "run", str(path))
+    assert rc == 2 and out == "" and not ran
+    assert f"cannot create output directory {out_dir}" in err
+    assert "Traceback" not in err
 
 
 def test_run_rejects_invalid_json(tmp_path, capsys):

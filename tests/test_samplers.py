@@ -137,6 +137,17 @@ def test_mab_requires_rulebook():
         sa.make_sampler("mab", unit_space(), seed=0)
 
 
+def test_sampler_names_are_the_class_names_in_order():
+    classes = (sa.UniformSampler, sa.HaltonSampler, sa.CrossEntropySampler,
+               sa.MultiArmedBanditSampler)
+    assert sa.SAMPLER_NAMES == tuple(cls.name for cls in classes)
+    assert sa.SAMPLER_NAMES == ("uniform", "halton", "cross-entropy", "mab")
+    for cls in classes:
+        sampler = sa.make_sampler(cls.name, unit_space(), seed=0,
+                                  rulebook=rb.disconnected(1))
+        assert type(sampler) is cls and sa.SAMPLERS[cls.name] is cls
+
+
 @pytest.mark.parametrize("name", sa.SAMPLER_NAMES)
 def test_member_reoffer_skips_insert_maximal(name, monkeypatch):
     calls = []

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from falsify import kinematics as kin
 from falsify import monitor as mo
 from falsify import rulebook as rb
 from falsify import scenarios as sc
@@ -319,3 +320,9 @@ def test_trajectory_metadata(sid):
         assert traj.termination != mo.TERM_TIME_LIMIT
     assert traj.agents[0] == mo.EGO
     assert np.all(traj.speeds >= 0.0)
+
+
+def test_terminations_are_indexed_by_kernel_code():
+    assert mo.TERMINATIONS[kin.CODE_TIME_LIMIT] == mo.TERM_TIME_LIMIT
+    assert mo.TERMINATIONS[kin.CODE_CRASH] == mo.TERM_CRASH
+    assert mo.TERMINATIONS[kin.CODE_CLEARED] == mo.TERM_CLEARED
