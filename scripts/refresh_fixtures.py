@@ -9,9 +9,9 @@ scenario's falsification problem is solvable.
 Usage: python3 scripts/refresh_fixtures.py [output_path]
 """
 
+import argparse
 import itertools
 import json
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -47,16 +47,19 @@ def search(cfg: sc.ScenarioConfig) -> dict:
     }
 
 
+DEFAULT_OUTPUT = (
+    Path(__file__).resolve().parents[1] / "src" / "falsify" / "data" / "known_unsafe.json"
+)
+
+
 def main() -> int:
-    out_path = Path(
-        sys.argv[1]
-        if len(sys.argv) > 1
-        else Path(__file__).resolve().parents[1]
-        / "src"
-        / "falsify"
-        / "data"
-        / "known_unsafe.json"
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "output", nargs="?", type=Path, default=DEFAULT_OUTPUT,
+        help="where to write the fixture JSON "
+        "(default: src/falsify/data/known_unsafe.json)",
     )
+    out_path = parser.parse_args().output
     fixtures = {}
     for sid in sc.scenario_ids(catalog_only=False):
         cfg = sc.ScenarioConfig(sid)

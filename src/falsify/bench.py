@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Callable
 
-from .campaign import CampaignConfig, CampaignResult, run_campaign
-from .config import parse_config
+from .campaign import CampaignResult, run_campaign
+from .config import CampaignConfig, parse_config
 from .errors import ConfigError
 
 SEEDS = tuple(range(10))

@@ -49,7 +49,6 @@ import csv
 import functools
 import json
 import logging
-import math
 import pickle
 import queue
 import threading
@@ -57,12 +56,13 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
+from .config import CampaignConfig, parse_config
 from .errors import ConfigError, FalsifyError
-from .monitor import Specification, evaluate
-from .rulebook import FalsificationVector, Rulebook
-from .samplers import DEFAULT_ALPHA, SAMPLER_NAMES, SampleFeedback, make_sampler
-from .scenarios import ScenarioConfig, feature_bindings, simulate_minima
-from .space import FeatureSpace, SampleVector
+from .monitor import evaluate
+from .rulebook import FalsificationVector
+from .samplers import SampleFeedback, make_sampler
+from .scenarios import simulate_minima
+from .space import SampleVector
 
 logger = logging.getLogger(__name__)
 
@@ -85,89 +85,6 @@ SAFE_CSV = "safe.csv"
 RECORDS_JSONL = "records.jsonl"
 SUMMARY_JSON = "summary.json"
 SNAPSHOT_JSON = "sampler_snapshot.json"
-
-
-@dataclass(frozen=True)
-class CampaignConfig:
-    """Everything a falsification campaign needs, validated up front."""
-
-    space: FeatureSpace
-    scenario: ScenarioConfig
-    spec: Specification
-    rulebook: Rulebook
-    sampler_name: str = "uniform"
-    alpha: float = DEFAULT_ALPHA
-    max_samples: int | None = None
-    max_wall_seconds: float | None = None
-    workers: int = 1
-    seed: int = 0
-    delay: float = 0.0
-    output_dir: str | None = None
-
-    def __post_init__(self):
-        if self.sampler_name not in SAMPLER_NAMES:
-            raise ConfigError(
-                f"unknown sampler {self.sampler_name!r}; "
-                f"expected one of {SAMPLER_NAMES}"
-            )
-        if not 0.0 < self.alpha < 1.0:
-            raise ConfigError(f"alpha must be in (0, 1), got {self.alpha}")
-        if self.workers < 1:
-            raise ConfigError(f"workers must be >= 1, got {self.workers}")
-        if self.max_samples is None and self.max_wall_seconds is None:
-            raise ConfigError(
-                "at least one budget bound (max_samples or max_wall_seconds) "
-                "must be set"
-            )
-        if self.max_samples is not None and self.max_samples < 1:
-            raise ConfigError(f"max_samples must be >= 1, got {self.max_samples}")
-        if self.max_wall_seconds is not None and not self.max_wall_seconds > 0:
-            raise ConfigError(
-                f"max_wall_seconds must be > 0, got {self.max_wall_seconds}"
-            )
-        if not 0.0 <= self.delay < math.inf:
-            raise ConfigError(f"delay must be finite and >= 0, got {self.delay}")
-        if len(self.spec) != self.rulebook.metric_count:
-            raise ConfigError(
-                f"spec has {len(self.spec)} metrics but the rulebook orders "
-                f"{self.rulebook.metric_count}"
-            )
-        bindings = feature_bindings(self.scenario)
-        if self.space.d != len(bindings):
-            raise ConfigError(
-                f"feature space has {self.space.d} dimensions but scenario "
-                f"{self.scenario.scenario_id!r} binds {len(bindings)} features"
-            )
-
-    def describe(self) -> dict:
-        """Config as a plain dict in the campaign-file schema."""
-        return {
-            "feature_space": {
-                "dimensions": [
-                    {"name": d.name, "lo": d.lo, "hi": d.hi}
-                    for d in self.space.dims
-                ],
-                "buckets": self.space.bucket_count,
-            },
-            "scenario": {
-                "id": self.scenario.scenario_id,
-                "adversaries": self.scenario.adversaries,
-            },
-            "spec": [m.to_config() for m in self.spec.metrics],
-            "rulebook": {
-                "metrics": self.rulebook.metric_count,
-                "edges": sorted(list(e) for e in self.rulebook.edges),
-            },
-            "sampler": {"name": self.sampler_name, "alpha": self.alpha},
-            "budget": {
-                "max_samples": self.max_samples,
-                "max_wall_seconds": self.max_wall_seconds,
-            },
-            "workers": self.workers,
-            "seed": self.seed,
-            "delay": self.delay,
-            "output_dir": self.output_dir,
-        }
 
 
 @dataclass(frozen=True)
@@ -807,8 +724,6 @@ def read_summary(run_dir) -> dict:
 
 def read_result(run_dir) -> CampaignResult:
     """Rebuild a finished campaign's result from its artifacts."""
-    from .config import parse_config  # config.py builds on this module
-
     summary = read_summary(run_dir)
     try:
         config = parse_config(summary["config"])

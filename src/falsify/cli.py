@@ -15,6 +15,7 @@ Diagnostics go to standard error; structured output to standard out.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import json
@@ -45,6 +46,14 @@ SCATTER_CSV = "scatter.csv"
 def _fail(message: str, code: int) -> int:
     print(f"falsify: error: {message}", file=sys.stderr)
     return code
+
+
+def _open_output(path):
+    """``path`` opened for writing, or a ConfigError that says why it cannot be."""
+    try:
+        return open(path, "w", newline="")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -148,9 +157,11 @@ def _ci_note(stats) -> str:
 
 
 def cmd_report(args) -> int:
+    scatter = Path(args.output) if args.output else Path(args.run_dir) / SCATTER_CSV
     try:
         result = read_result(args.run_dir)
         stats = coverage_stats(result)
+        fh = _open_output(scatter)
     except FalsifyError as exc:
         return _fail(str(exc), EXIT_CONFIG)
 
@@ -158,9 +169,8 @@ def cmd_report(args) -> int:
     if not stats.has_ci:
         doc["note"] = _ci_note(stats)
 
-    scatter = Path(args.output) if args.output else Path(args.run_dir) / SCATTER_CSV
     names = result.config.space.names
-    with scatter.open("w", newline="") as fh:
+    with fh:
         writer = csv.writer(fh)
         writer.writerow(list(names) + ["counterexample"])
         for rec in result.records:
@@ -248,11 +258,16 @@ def cmd_scenarios(args) -> int:
 def cmd_bench(args) -> int:
     from . import bench
 
-    report, all_passed = bench.run_suite(args.pattern)
-    bench.print_table(report, file=sys.stdout)
-    if args.output:
-        Path(args.output).write_text(json.dumps(report, indent=2))
-        print(f"report written to {args.output}", file=sys.stderr)
+    try:  # before the suite, which takes minutes
+        out = _open_output(args.output) if args.output else contextlib.nullcontext()
+    except ConfigError as exc:
+        return _fail(str(exc), EXIT_CONFIG)
+    with out as fh:
+        report, all_passed = bench.run_suite(args.pattern)
+        bench.print_table(report, file=sys.stdout)
+        if fh:
+            fh.write(json.dumps(report, indent=2))
+            print(f"report written to {args.output}", file=sys.stderr)
     return EXIT_OK if all_passed else 1
 
 

@@ -1,4 +1,7 @@
-"""Campaign file schema: JSON documents in and out of CampaignConfig.
+"""The campaign config: its type, its checks, and its file format both ways.
+
+``CampaignConfig`` checks itself when built, from Python or from a file
+alike; ``describe`` writes a campaign document and ``parse_config`` reads one.
 
 A campaign file is one JSON object with the sections below.  Unknown
 keys are rejected at every level so typos fail loudly instead of being
@@ -23,18 +26,20 @@ from __future__ import annotations
 
 import contextlib
 import json
+import math
+from dataclasses import dataclass
 from pathlib import Path
 
 from . import rulebook as rb
-from .campaign import CampaignConfig
 from .errors import ConfigError
-from .monitor import Specification, spec_from_config
-from .samplers import DEFAULT_ALPHA
+from .monitor import EGO, JointSeparation, Specification, spec_from_config
+from .samplers import DEFAULT_ALPHA, SAMPLER_NAMES
 from .scenarios import (
     ScenarioConfig,
     default_feature_space,
     default_specification,
     feature_bindings,
+    monitored_agents,
 )
 from .space import DEFAULT_BUCKET_COUNT, Dimension, FeatureSpace
 
@@ -50,6 +55,102 @@ TOP_LEVEL_KEYS = {
     "delay",
     "output_dir",
 }
+
+
+@dataclass(frozen=True)
+class CampaignConfig:
+    """Everything a falsification campaign needs, validated up front."""
+
+    space: FeatureSpace
+    scenario: ScenarioConfig
+    spec: Specification
+    rulebook: rb.Rulebook
+    sampler_name: str = "uniform"
+    alpha: float = DEFAULT_ALPHA
+    max_samples: int | None = None
+    max_wall_seconds: float | None = None
+    workers: int = 1
+    seed: int = 0
+    delay: float = 0.0
+    output_dir: str | None = None
+
+    def __post_init__(self):
+        if self.sampler_name not in SAMPLER_NAMES:
+            raise ConfigError(
+                f"unknown sampler {self.sampler_name!r}; "
+                f"expected one of {SAMPLER_NAMES}"
+            )
+        if not 0.0 < self.alpha < 1.0:
+            raise ConfigError(f"alpha must be in (0, 1), got {self.alpha}")
+        if self.workers < 1:
+            raise ConfigError(f"workers must be >= 1, got {self.workers}")
+        if self.max_samples is None and self.max_wall_seconds is None:
+            raise ConfigError(
+                "at least one budget bound (max_samples or max_wall_seconds) "
+                "must be set"
+            )
+        if self.max_samples is not None and self.max_samples < 1:
+            raise ConfigError(f"max_samples must be >= 1, got {self.max_samples}")
+        if self.max_wall_seconds is not None and not self.max_wall_seconds > 0:
+            raise ConfigError(
+                f"max_wall_seconds must be > 0, got {self.max_wall_seconds}"
+            )
+        if not 0.0 <= self.delay < math.inf:
+            raise ConfigError(f"delay must be finite and >= 0, got {self.delay}")
+        if len(self.spec) != self.rulebook.metric_count:
+            raise ConfigError(
+                f"spec has {len(self.spec)} metrics but the rulebook orders "
+                f"{self.rulebook.metric_count}"
+            )
+        # Values bind to features by position, so the names must line up.
+        sid = self.scenario.scenario_id
+        names = list(self.space.names)
+        features = [f.name for f in feature_bindings(self.scenario)]
+        if names != features:
+            raise ConfigError(
+                f"feature_space.dimensions are named {names}, but scenario "
+                f"{sid!r} binds the features {features}, in that order"
+            )
+        agents = (EGO,) + monitored_agents(self.scenario)
+        for k, metric in enumerate(self.spec.metrics):
+            named = (metric.agents if isinstance(metric, JointSeparation)
+                     else (metric.agent,))
+            unknown = [a for a in named if a not in agents]
+            if unknown:
+                raise ConfigError(
+                    f"spec entry {k} names {unknown}, but scenario {sid!r} "
+                    f"has the agents {list(agents)}"
+                )
+
+    def describe(self) -> dict:
+        """Config as a plain dict in the campaign-file schema."""
+        return {
+            "feature_space": {
+                "dimensions": [
+                    {"name": d.name, "lo": d.lo, "hi": d.hi}
+                    for d in self.space.dims
+                ],
+                "buckets": self.space.bucket_count,
+            },
+            "scenario": {
+                "id": self.scenario.scenario_id,
+                "adversaries": self.scenario.adversaries,
+            },
+            "spec": [m.to_config() for m in self.spec.metrics],
+            "rulebook": {
+                "metrics": self.rulebook.metric_count,
+                "edges": sorted(list(e) for e in self.rulebook.edges),
+            },
+            "sampler": {"name": self.sampler_name, "alpha": self.alpha},
+            "budget": {
+                "max_samples": self.max_samples,
+                "max_wall_seconds": self.max_wall_seconds,
+            },
+            "workers": self.workers,
+            "seed": self.seed,
+            "delay": self.delay,
+            "output_dir": self.output_dir,
+        }
 
 
 def _require_mapping(doc, where: str) -> dict:
@@ -120,14 +221,6 @@ def _parse_feature_space(doc, scenario: ScenarioConfig) -> FeatureSpace:
                 _number(float, entry["lo"], f"{where}.lo"),
                 _number(float, entry["hi"], f"{where}.hi"),
             ))
-        # Values bind to features by position, so the names must line up.
-        names = [d.name for d in dims]
-        features = [f.name for f in feature_bindings(scenario)]
-        if names != features:
-            raise ConfigError(
-                f"feature_space.dimensions are named {names}, but scenario "
-                f"{scenario.scenario_id!r} binds the features {features}, in that order"
-            )
     return FeatureSpace(dims, bucket_count=buckets)
 
 

@@ -256,11 +256,12 @@ def spec_from_config(entries: Sequence[dict]) -> Specification:
         if not isinstance(entry, dict):
             raise SpecError(f"spec entry {k} must be a mapping, got {type(entry)}")
         kind = entry.get("metric")
-        try:
-            threshold = float(entry.get("threshold", DEFAULT_THRESHOLD))
-        except (TypeError, ValueError) as exc:
+        threshold = entry.get("threshold", DEFAULT_THRESHOLD)
+        # A JSON number only: float() would also take "3" and true.
+        if isinstance(threshold, bool) or not isinstance(threshold, (int, float)):
             raise SpecError(f"spec entry {k}: threshold must be a number, "
-                            f"got {entry['threshold']!r}") from exc
+                            f"got {threshold!r}")
+        threshold = float(threshold)
         if kind == "min_separation":
             unknown = set(entry) - {"metric", "agent", "threshold"}
             if unknown:

@@ -175,6 +175,21 @@ def test_cli_bench_run_with_pattern(tmp_path, capsys):
     assert saved["experiments"][0]["name"] == "scenario_sweep"
 
 
+@pytest.mark.parametrize("where", ["missing/report.json", ""], ids=["missing-dir", "a-dir"])
+def test_cli_bench_run_unwritable_output_exits_2_before_the_suite(
+    tmp_path, capsys, monkeypatch, where
+):
+    def suite_must_not_run(pattern=""):
+        raise AssertionError("the suite ran before its output path was checked")
+
+    monkeypatch.setattr(bench, "run_suite", suite_must_not_run)
+    target = tmp_path / where
+    rc = cli.main(["bench", "run", "--output", str(target)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert f"cannot write {target}" in err
+
+
 def test_cli_bench_run_failure_exits_nonzero(capsys, monkeypatch):
     def failing_suite(pattern=""):
         return {"pattern": pattern, "matched": 1, "passed": False,

@@ -22,6 +22,7 @@ from falsify.campaign import (
 )
 from falsify.config import example_config, parse_config
 from falsify.errors import ConfigError, FalsifyError
+from falsify.monitor import MinSeparation, Specification, evaluate
 from falsify.samplers import make_sampler
 from falsify.scenarios import ScenarioConfig, simulate
 
@@ -127,6 +128,10 @@ def test_run_rejects_dimensions_that_misname_the_features(tmp_path, capsys):
      "delay must be a number, got '0.5'"),
     ("bool lo", lambda doc: doc["feature_space"]["dimensions"][0].update(lo=False),
      "feature_space.dimensions[0].lo must be a number, got False"),
+    ("string threshold", lambda doc: doc["spec"][0].update(threshold="3"),
+     "threshold must be a number, got '3'"),
+    ("bool threshold", lambda doc: doc["spec"][0].update(threshold=True),
+     "threshold must be a number, got True"),
 ])
 def test_run_rejects_a_non_numeric_value(tmp_path, capsys, where, edit, named):
     doc = example_config("1")
@@ -322,15 +327,29 @@ def test_run_ctrl_c_leaves_a_readable_partial_run(tmp_path, capsys, monkeypatch,
     assert signal.getsignal(signal.SIGINT) is signal.default_int_handler
 
 
+def test_run_spec_naming_an_absent_agent_exits_2_before_the_campaign(
+    tmp_path, capsys
+):
+    cfg_path, out_dir = write_config(
+        tmp_path, spec=[{"metric": "min_separation", "agent": "ghost"}]
+    )
+    rc, out, err = run_cli(capsys, "run", str(cfg_path))
+    assert rc == 2 and out == ""
+    assert "ghost" in err and "['ego', 'adv0']" in err and "Traceback" not in err
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("workers", ["1", "2", "4"])
 def test_run_absent_agent_aborts_at_every_worker_count(
-    tmp_path, capsys, caplog, workers
+    tmp_path, capsys, caplog, monkeypatch, workers
 ):
-    # A spec naming an agent the scenario lacks fails on every sample: a
-    # config fault, so the campaign aborts instead of counting failures.
-    cfg_path, out_dir = write_config(
-        tmp_path, spec=[{"metric": "min_separation", "agent": "adv9"}]
-    )
+    # A metric naming an agent the run lacks fails on every sample: a
+    # package fault, so the campaign aborts instead of counting failures.
+    # The config rejects such a spec before the campaign starts, so the
+    # fault is put in at the evaluation step, which forked workers inherit.
+    absent = Specification([MinSeparation("adv9")])
+    monkeypatch.setattr(campaign, "evaluate", lambda spec, run: evaluate(absent, run))
+    cfg_path, out_dir = write_config(tmp_path)
     rc, _, err = run_cli(capsys, "run", str(cfg_path), "--workers", workers)
     assert rc == 3
     assert "adv9" in err
@@ -446,6 +465,15 @@ def test_report_empty_dir_exits_2(tmp_path, capsys):
 def test_report_missing_dir_exits_2(tmp_path, capsys):
     rc, _, err = run_cli(capsys, "report", str(tmp_path / "nope"))
     assert rc == 2
+
+
+@pytest.mark.parametrize("where", ["missing/scatter.csv", ""], ids=["missing-dir", "a-dir"])
+def test_report_unwritable_output_exits_2(tmp_path, capsys, where):
+    out_dir = make_run(tmp_path, capsys, "halton", "h")
+    target = tmp_path / where
+    rc, out, err = run_cli(capsys, "report", str(out_dir), "--output", str(target))
+    assert rc == 2 and out == ""
+    assert f"cannot write {target}" in err and "Traceback" not in err
 
 
 def truncate_records(out_dir, nbytes=40):

@@ -3,6 +3,9 @@ contract of the campaign simulator's delay floor, and a closed-form safe
 case."""
 
 import importlib.util
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -167,6 +170,20 @@ def test_refresh_fixtures_search_finds_the_band(monkeypatch):
     assert entry["grid_points_per_dim"] == 4
     assert min(entry["rho"]) < 0
     assert sc.band_unsafe(entry["values"]["u"])
+
+
+def test_refresh_fixtures_help_prints_usage_and_writes_nothing(tmp_path):
+    # --help is an option, not the output path: no search, no file.
+    script = Path(__file__).resolve().parents[1] / "scripts" / "refresh_fixtures.py"
+    src = Path(sc.__file__).resolve().parents[1]
+    out = subprocess.run(
+        [sys.executable, str(script), "--help"], cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert out.returncode == 0
+    assert out.stdout.startswith("usage:")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_fixture_lookup_errors():
