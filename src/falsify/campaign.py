@@ -4,25 +4,26 @@ result persistence.
 A coordinator owns the result tables and the sampler, which also keeps
 the maximal set of counterexample vectors under the rulebook, and folds
 each evaluated outcome back into them.  Each step is written once on
-``_Runner``; the worker count only decides where the simulation runs.
-At W=1 it runs inline on the coordinator: draw, simulate, evaluate,
-absorb.  At W>1 each of W workers runs one sample at a time and answers
-on its own pipe with (id, t_dispatch, sample, outcome); the coordinator,
-the only one that absorbs, builds each record and applies its feedback
-in completion order as it arrives.  Where a worker's next sample comes
-from depends on the sampler:
+``_Runner``, and one loop (``_Pool``) runs a campaign at every W.  A
+helper runs one sample at a time and answers on its own pipe with (id,
+t_dispatch, sample, outcome); the coordinator, the only one that
+absorbs, builds each record and applies its feedback in completion
+order as it arrives.  Where a sample comes from, and who runs it,
+depends on the sampler:
 
 - a feedback-free sampler (uniform, Halton) draws sample k from the seed
-  and k alone, so the workers claim their own work: each takes the next
+  and k alone, so every worker claims its own work: each takes the next
   id from a counter they share, under a lock, and draws that sample
-  itself.  The coordinator does nothing per sample but absorb.
-- an adaptive sampler (cross-entropy, MAB) reads the feedback absorbed
-  so far, so the coordinator draws each sample and dispatches it to the
-  worker that just answered.
+  itself.  The coordinator is worker 0 beside W-1 helpers: it runs the
+  samples it claims, and between them absorbs, without waiting, what the
+  helpers sent.  At W=1 it is the only worker, under any sampler.
+- an adaptive sampler (cross-entropy, MAB) at W>1 reads the feedback
+  absorbed so far, so the coordinator draws each sample and dispatches it
+  to the helper that just answered, and runs none itself.
 
-With the default simulator the workers are forked processes, so the
+With the default simulator the helpers are forked processes, so the
 interpreted kernel runs on W interpreters at once.  A ``simulate_fn``
-passed in by the caller runs on worker threads in the caller's process
+passed in by the caller runs on helper threads in the caller's process
 instead, where it may keep state; those threads overlap only while the
 simulation releases the interpreter lock (a sleep).
 
@@ -31,9 +32,9 @@ uniform and Halton streams do not depend on W.  The failure policy is
 the same for every W.  A simulation or evaluation that raises a package
 error (``FalsifyError``) is a package or config fault that would repeat
 on every sample, so it aborts the campaign, as do any package error on
-the coordinator and a worker process that dies: in-flight samples are
+the coordinator and a helper process that dies: in-flight samples are
 absorbed and the partial result is attached to the raised CampaignError.
-A worker sends back the error's type name and message, not the error
+A helper sends back the error's type name and message, not the error
 itself, which may not survive pickling.  Any other exception marks its
 sample failed: the id is logged and counted, the sample joins neither
 table, and the campaign continues.  A Ctrl-C stops dispatch and claims
@@ -47,6 +48,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import functools
+import io
 import json
 import logging
 import pickle
@@ -122,14 +124,14 @@ class SampleRecord(SampleFeedback):
             t_dispatch=float(doc["t_dispatch"]),
             t_complete=float(doc["t_complete"]),
             sample=SampleVector(
-                tuple(float(v) for v in doc["values"]),
-                tuple(int(b) for b in doc["buckets"]),
+                tuple(map(float, doc["values"])),
+                tuple(map(int, doc["buckets"])),
             ),
-            rho=tuple(float(r) for r in doc["rho"]),
+            rho=tuple(map(float, doc["rho"])),
             termination=str(doc["termination"]),
             sim_seconds=float(doc["sim_seconds"]),
         )
-        if (tuple(bool(x) for x in doc["b"]) != record.b
+        if (tuple(map(bool, doc["b"])) != record.b
                 or bool(doc["counterexample"]) != record.is_counterexample):
             raise ConfigError(f"record {record.id}: b and counterexample disagree with rho")
         return record
@@ -241,8 +243,8 @@ class _Runner:
         The outcome is ("done", rho, termination, sim_seconds, t_complete),
         or ("failed", message) when the simulation or the monitor raised an
         exception that is not a package error.  A package error propagates.
-        Called on the coordinator at W=1 and on a worker at W>1, so it
-        touches no coordinator state.
+        Called on the coordinator and on its helpers alike, so it touches
+        no coordinator state.
         """
         t0 = time.perf_counter()
         try:
@@ -306,23 +308,34 @@ def _receive(conn):
 
 
 class _Pool:
-    """W workers that each run one sample at a time and answer on their own pipe.
+    """The W workers of one campaign, each running one sample at a time.
 
-    A worker takes its tasks from one of two sources, chosen by the
-    sampler.  Under a feedback-free sampler it claims them (``_claim``):
-    it takes the next sample id from a counter that every worker shares,
-    under a lock, and draws that sample itself.  Under an adaptive
-    sampler, whose draws read the feedback absorbed so far, the
-    coordinator draws each sample and feeds it (``_feed``) to the worker
-    that just answered.  Either way a worker answers each task with one
-    message, (id, t_dispatch, sample, outcome), and says None once its
-    source runs dry; the coordinator absorbs messages until every worker
-    has said None.
+    Where a worker's tasks come from, and whether the coordinator is one
+    of the workers, depends on the sampler:
 
-    A worker is a forked process or a thread; only ``start`` tells them
-    apart.  A thread draws with, or is fed, the coordinator's own sampler
-    objects, so a caller's ``simulate_fn`` sees the very sample object
-    the sampler issued.
+    - Claiming: under a feedback-free sampler, and under any sampler at
+      W=1, each worker claims its own tasks (``_claim``).  It takes the
+      next sample id from a counter that every worker shares, under a
+      lock, and draws that sample itself.  The coordinator is worker 0:
+      it runs each sample it claims and absorbs it with no pipe, and
+      between its own samples it absorbs, without waiting, what the W-1
+      helpers (workers 1 to W-1) have sent.  It waits for them only once
+      its own claims run dry.  At W=1 it is the only worker, and its
+      sampler has absorbed every earlier sample, so its draw may read
+      feedback.
+    - Fed: under an adaptive sampler at W>1, the coordinator draws each
+      sample and feeds it (``_feed``) to the helper that just answered;
+      W helpers (workers 0 to W-1) run them.  The coordinator runs none,
+      because a helper would then wait for its next task behind the
+      coordinator's own sample.
+
+    A helper answers each task with one message on its own pipe, (id,
+    t_dispatch, sample, outcome), and says None once its source runs
+    dry; the coordinator absorbs messages until every helper has said
+    None.  A helper is a forked process or a thread; only
+    ``_start_helpers`` tells them apart.  A thread draws with, or is fed,
+    the coordinator's own sampler objects, so a caller's ``simulate_fn``
+    sees the very sample object the sampler issued.
     """
 
     # Slots of the shared block: the next sample id, the stop flag, then
@@ -331,74 +344,85 @@ class _Pool:
 
     def __init__(self, runner: _Runner):
         self.runner = runner
-        self.claiming = runner.sampler.feedback_free
-        self.conns: list = []  # the coordinator's pipe end of each worker
-        self.feeds: list = []  # per worker: hand it a task (or None)
-        self.workers: list = []  # Process or Thread
-        self.live: dict = {}  # pipe fd -> index of a worker yet to finish
+        self.claiming = runner.sampler.feedback_free or runner.config.workers == 1
+        self.conns: dict = {}  # helper index -> the coordinator's end of its pipe
+        self.feeds: dict = {}  # helper index -> hand it a task (or None); fed only
+        self.helpers: list = []  # Process or Thread
+        self.live: dict = {}  # pipe fd -> index of a helper yet to finish
         self.reported: list[int] = []  # per worker: the last id it answered
         self.shared = None
         self.lock = None
         self.poller = None
 
-    def start(self, count: int, forked: bool) -> None:
-        # Imported here: multiprocessing.connection costs a fresh interpreter
-        # about 10 ms of imports, which a W=1 campaign never needs.
+    def start(self, forked: bool) -> None:
+        """Set up the shared block, then start the helpers, if any."""
         import mmap
+
+        count = self.runner.config.workers
+        # An anonymous shared mapping: forked helpers see the coordinator's
+        # pages, with none of multiprocessing.Value's ctypes imports.
+        self.shared = memoryview(mmap.mmap(-1, 8 * (self.TAKEN + count))).cast("q")
+        for w in range(count):
+            self.shared[self.TAKEN + w] = -1
+        self.reported = [-1] * count
+        self.lock = threading.Lock()  # forked helpers need a process-shared one
+        helpers = range(1 if self.claiming else 0, count)
+        if helpers:
+            self._start_helpers(helpers, forked)
+
+    def _start_helpers(self, helpers: range, forked: bool) -> None:
+        # multiprocessing.connection costs a fresh interpreter about 10 ms
+        # of imports, which a W=1 campaign never needs.
         import multiprocessing
         import select
 
-        # fork, not spawn: a worker inherits the config, the simulator and
+        # fork, not spawn: a helper inherits the config, the simulator and
         # any compiled kernels without pickling, and starts in milliseconds
         # where a spawned one would import numpy and the package again.
         # select.poll, below, exists only where fork does.
         ctx = multiprocessing.get_context("fork") if forked else None
-        # An anonymous shared mapping: forked workers see the coordinator's
-        # pages, with none of multiprocessing.Value's ctypes imports.
-        self.shared = memoryview(mmap.mmap(-1, 8 * (self.TAKEN + count))).cast("q")
-        self.lock = threading.Lock() if ctx is None else ctx.Lock()
+        if ctx is not None:
+            self.lock = ctx.Lock()
         self.poller = select.poll()
-        for w in range(count):
-            self.shared[self.TAKEN + w] = -1
-            self.reported.append(-1)
+        for w in helpers:
             conn, end = multiprocessing.Pipe()
-            self.conns.append(conn)
+            self.conns[w] = conn
             if self.claiming:
-                source, feed = functools.partial(self._claim, w), None
+                source = functools.partial(self._claim, w)
             elif ctx is not None:
-                source, feed = functools.partial(_receive, end), functools.partial(_send, conn)
+                source = functools.partial(_receive, end)
+                self.feeds[w] = functools.partial(_send, conn)
             else:
                 inbox: queue.SimpleQueue = queue.SimpleQueue()
-                source, feed = inbox.get, inbox.put
-            self.feeds.append(feed)
+                source, self.feeds[w] = inbox.get, inbox.put
             if ctx is not None:
-                worker = ctx.Process(
+                helper = ctx.Process(
                     target=self._serve_forked, args=(end, source),
                     name=f"falsify-worker-{w}", daemon=True,
                 )
             else:
-                worker = threading.Thread(
+                helper = threading.Thread(
                     target=self._serve, args=(end, source),
                     name=f"falsify-worker-{w}", daemon=True,
                 )
-            worker.start()
+            helper.start()
             if ctx is not None:
                 end.close()  # the child holds the only copy
-            self.workers.append(worker)
+            self.helpers.append(helper)
             self.live[conn.fileno()] = w
             self.poller.register(conn.fileno(), select.POLLIN)
 
-    # -- worker side ---------------------------------------------------------
+    # -- helper side ---------------------------------------------------------
 
     def _serve_forked(self, end, source) -> None:
-        """Entry point of a forked worker."""
+        """Entry point of a forked helper."""
         import signal  # here, not at the top: it would add to every set-up
 
         # Ctrl-C reaches the whole process group; the coordinator handles it.
         signal.signal(signal.SIGINT, signal.SIG_IGN)
         # Drop the inherited coordinator ends, so that the coordinator's
-        # exit reads as EOF here and this worker's exit as EOF there.
-        for conn in self.conns:
+        # exit reads as EOF here and this helper's exit as EOF there.
+        for conn in self.conns.values():
             conn.close()
         self._serve(end, source)
 
@@ -422,9 +446,10 @@ class _Pool:
         """Worker ``w``'s next task, drawn by itself, or None once the budget
         is spent or the stop flag is set.
 
-        The lock also covers the draw: thread workers share one sampler,
-        whose ``next_sample`` counts as it draws.  A forked worker's sampler
-        is its own copy, brought up to the shared count first.
+        The lock also covers the draw: the coordinator and its thread
+        helpers share one sampler, whose ``next_sample`` counts as it
+        draws.  A forked helper's sampler is its own copy, brought up to
+        the shared count first.
         """
         runner, sampler, shared = self.runner, self.runner.sampler, self.shared
         with self.lock:
@@ -444,7 +469,7 @@ class _Pool:
             self.shared[self.STOP] = 1
 
     def _feed(self, w: int) -> None:
-        """Dispatch worker ``w``'s next task, or None once dispatch stopped."""
+        """Dispatch helper ``w``'s next task, or None once dispatch stopped."""
         runner = self.runner
         if self.shared[self.STOP] or not runner.may_dispatch():
             task = None
@@ -473,9 +498,11 @@ class _Pool:
                     else "between samples")
             raise FalsifyError(f"worker {w} died {when}") from exc
 
-    def _absorb_ready(self) -> None:
-        """Wait for answers, then absorb each; feed a worker that answered."""
-        for fd, _ in self.poller.poll():
+    def _absorb_ready(self, timeout=None) -> None:
+        """Absorb one answer from each helper that has sent one, waiting
+        up to ``timeout`` ms (None: until one has); feed a helper that
+        answered."""
+        for fd, _ in self.poller.poll(timeout):
             w = self.live.get(fd)
             if w is None:
                 continue  # finished while this batch was handled
@@ -494,14 +521,23 @@ class _Pool:
                     self._feed(w)
 
     def pipeline(self) -> None:
-        """Absorb answers until every worker is finished.
+        """Run and absorb samples until every worker is finished.
 
-        Feedback is applied as each result lands, without waiting for the
-        rest of the batch — adaptive samplers therefore see feedback in
-        completion order, which is the accepted nondeterminism of W>1.
+        When claiming, the coordinator runs its own share first: it claims,
+        runs and absorbs each sample, and absorbs between them whatever the
+        helpers have sent.  Feedback is applied as each result lands,
+        without waiting for the rest of the batch — adaptive samplers
+        therefore see feedback in completion order, which is the accepted
+        nondeterminism of W>1.
         """
-        if not self.claiming:
-            for w in range(len(self.workers)):
+        runner = self.runner
+        if self.claiming:
+            while (task := self._claim(0)) is not None:
+                runner.handle((*task, runner.run(task[2])), 0)
+                if self.live:
+                    self._absorb_ready(0)
+        else:
+            for w in self.feeds:
                 self._feed(w)
         while self.live:
             self._absorb_ready()
@@ -515,7 +551,7 @@ class _Pool:
         """
         self.stop()
         if not self.claiming:
-            # A worker the abort left unfed would wait for a task forever;
+            # A helper the abort left unfed would wait for a task forever;
             # None tells each to stop after the one in hand.
             for w in list(self.live.values()):
                 self._feed(w)
@@ -533,19 +569,19 @@ class _Pool:
             )
 
     def _settle(self) -> None:
-        """Claimed samples were counted by the workers: take their count."""
+        """Claimed samples were counted by every claiming worker: take their count."""
         if self.claiming and self.shared is not None:
             self.runner.sampler.issued = self.shared[self.NEXT]
 
     def close(self) -> None:
         self.stop()
-        for w, conn in enumerate(self.conns):
+        for w, conn in self.conns.items():
             if not self.claiming:
                 with contextlib.suppress(OSError):  # a dead process's pipe
                     self.feeds[w](None)
             conn.close()
-        for worker in self.workers:
-            worker.join()
+        for helper in self.helpers:
+            helper.join()
 
 
 @contextlib.contextmanager
@@ -581,29 +617,26 @@ def _stop_on_ctrl_c(runner: _Runner, pool: _Pool):
 def run_campaign(config: CampaignConfig, simulate_fn=None) -> CampaignResult:
     """Run a campaign to its budget: sample, simulate, evaluate, update.
 
-    At W=1 each sample runs inline on the coordinator.  A pool of one
-    worker would give the same records, but its handoff per sample costs
-    more than a fast simulation.  At W>1 the default simulator runs in
-    forked processes and a caller's ``simulate_fn`` on threads (see the
-    module docstring).  A Ctrl-C ends the campaign early with
-    CampaignInterrupted, which carries the partial result.
+    One loop serves every W (see ``_Pool``).  Under a feedback-free
+    sampler, and at W=1 under any sampler, the coordinator runs samples
+    itself beside W-1 helpers, so W=1 forks nothing and W=2 forks one
+    helper.  An adaptive sampler at W>1 feeds W helpers.  Helpers of the
+    default simulator are forked processes; a caller's ``simulate_fn``
+    runs on threads (see the module docstring).  A Ctrl-C ends the
+    campaign early with CampaignInterrupted, which carries the partial
+    result.
     """
     runner = _Runner(config, simulate_fn)
     pool = _Pool(runner)
     with _stop_on_ctrl_c(runner, pool):
         try:
-            if config.workers == 1:
-                while runner.may_dispatch():
-                    task = runner.dispatch()
-                    runner.handle((*task, runner.run(task[2])), 0)
-            else:
-                if simulate_fn is None:
-                    # One run here compiles the scenario's kernel, which the
-                    # forked workers then inherit instead of each compiling it
-                    # on its first sample.
-                    simulate_minima(config.scenario, [d.lo for d in config.space.dims])
-                pool.start(config.workers, forked=simulate_fn is None)
-                pool.pipeline()
+            if config.workers > 1 and simulate_fn is None:
+                # One run here compiles the scenario's kernel, which the
+                # forked helpers then inherit instead of each compiling it
+                # on its first sample.
+                simulate_minima(config.scenario, [d.lo for d in config.space.dims])
+            pool.start(forked=simulate_fn is None)
+            pool.pipeline()
         except FalsifyError as exc:
             pool.drain()
             raise CampaignError(
@@ -625,25 +658,74 @@ def run_campaign(config: CampaignConfig, simulate_fn=None) -> CampaignResult:
 # ---------------------------------------------------------------------------
 
 
-def _encoded(r: SampleRecord) -> tuple[list, str]:
-    """A record's CSV row and its JSONL line, with each list encoded once.
+# The text each bool takes in JSON and in csv.writer's output.
+_JSON_BOOL = {True: "true", False: "false"}
+_CSV_BOOL = {True: "True", False: "False"}
+# The characters that make csv.writer quote or escape a field.
+_CSV_QUOTED = frozenset(',"\r\n')
 
-    The line is ``json.dumps(r.to_json_dict())`` byte for byte.  The
-    scalars go through one ``json.dumps`` with the termination string
-    last: no number or bool encodes to text holding ", ", so the first six
-    splits are exact, and the seventh piece is the whole string.
+
+def _json_text(x) -> str:
+    """json.dumps(x) for an int, a float or a list of them: its repr,
+    unless that holds nan or inf, the only numbers whose repr has an ``n``."""
+    text = repr(x)
+    return json.dumps(x) if "n" in text else text
+
+
+def _csv_field(text: str) -> str:
+    """``text`` as csv.writer writes a field that holds no quote or line
+    break: quoted if it holds the delimiter."""
+    return f'"{text}"' if "," in text else text
+
+
+def _legacy_encoded(r: SampleRecord) -> tuple[str, str]:
+    """``_encoded`` through csv.writer and json.dumps, for any field types."""
+    doc = r.to_json_dict()
+    row = io.StringIO()
+    csv.writer(row).writerow([
+        doc["id"], doc["worker"], doc["t_dispatch"], doc["t_complete"],
+        json.dumps(doc["values"]), json.dumps(doc["buckets"]),
+        json.dumps(doc["rho"]), json.dumps(doc["b"]),
+        doc["counterexample"], doc["termination"], doc["sim_seconds"],
+    ])
+    return row.getvalue(), json.dumps(doc) + "\n"
+
+
+def _encoded(r: SampleRecord) -> tuple[str, str]:
+    """A record's CSV row and its JSONL line, each formatted directly.
+
+    The row is what ``csv.writer`` writes for the record, with each list
+    as its JSON text, and the line is ``json.dumps(r.to_json_dict())``,
+    byte for byte.  A float prints as ``float.__repr__`` in both, except
+    that JSON spells nan and inf its own way; those are the only floats
+    whose repr holds an ``n``.  A record whose ints and floats are not
+    exactly ``int`` and ``float`` (a bool id, an int where a float
+    belongs), or whose termination is empty or holds a character that CSV
+    quotes or escapes, goes through csv.writer and json.dumps instead.
     """
-    values, buckets, rho, b = (
-        json.dumps(list(x)) for x in (r.sample.values, r.sample.buckets, r.rho, r.b)
-    )
-    scalars = json.dumps([r.id, r.worker, r.t_dispatch, r.t_complete,
-                          r.is_counterexample, r.sim_seconds, r.termination])
-    i, worker, t_dispatch, t_complete, flag, sim, term = scalars[1:-1].split(", ", 6)
-    fields = (i, worker, t_dispatch, t_complete, values, buckets, rho, b, flag,
-              term, sim)
-    line = "{" + ", ".join(f'"{k}": {v}' for k, v in zip(RECORD_FIELDS, fields)) + "}\n"
-    row = [r.id, r.worker, r.t_dispatch, r.t_complete, values, buckets, rho, b,
-           r.is_counterexample, r.termination, r.sim_seconds]
+    sample, term = r.sample, r.termination
+    times = (r.t_dispatch, r.t_complete, r.sim_seconds)
+    if (type(r.id) is not int or type(r.worker) is not int
+            or {*map(type, sample.buckets)} != {int}
+            or {*map(type, (*times, *sample.values, *r.rho))} != {float}
+            or type(term) is not str or not term or not _CSV_QUOTED.isdisjoint(term)):
+        return _legacy_encoded(r)
+    # A list's repr is its JSON text, with the same floats, and is the
+    # fastest way to print them.
+    lists = [_json_text(list(xs)) for xs in (sample.values, sample.buckets, r.rho)]
+    lists.append("[" + ", ".join(map(_JSON_BOOL.__getitem__, r.b)) + "]")
+    t_dispatch, t_complete, sim = texts = [*map(repr, times)]
+    values, buckets, rho, b = map(_csv_field, lists)
+    row = (f"{r.id},{r.worker},{t_dispatch},{t_complete},{values},{buckets},"
+           f"{rho},{b},{_CSV_BOOL[r.is_counterexample]},{term},{sim}\r\n")
+    if "n" in "".join(texts):
+        t_dispatch, t_complete, sim = map(_json_text, times)
+    values, buckets, rho, b = lists
+    line = (f'{{"id": {r.id}, "worker": {r.worker}, "t_dispatch": {t_dispatch}, '
+            f'"t_complete": {t_complete}, "values": {values}, "buckets": {buckets}, '
+            f'"rho": {rho}, "b": {b}, '
+            f'"counterexample": {_JSON_BOOL[r.is_counterexample]}, '
+            f'"termination": {json.dumps(term)}, "sim_seconds": {sim}}}\n')
     return row, line
 
 
@@ -652,17 +734,18 @@ def write_artifacts(result: CampaignResult, out_dir) -> dict:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
+    header = ",".join(RECORD_FIELDS) + "\r\n"  # csv.writer's header row
     with (
         (out / ERROR_CSV).open("w", newline="") as error_fh,
         (out / SAFE_CSV).open("w", newline="") as safe_fh,
         (out / RECORDS_JSONL).open("w") as log,
     ):
-        tables = {True: csv.writer(error_fh), False: csv.writer(safe_fh)}
+        tables = {True: error_fh, False: safe_fh}
         for table in tables.values():
-            table.writerow(RECORD_FIELDS)
+            table.write(header)
         for r in result.records:
             row, line = _encoded(r)
-            tables[r.is_counterexample].writerow(row)
+            tables[r.is_counterexample].write(row)
             log.write(line)
 
     summary = {

@@ -91,9 +91,11 @@ class CampaignConfig:
             )
         if self.max_samples is not None and self.max_samples < 1:
             raise ConfigError(f"max_samples must be >= 1, got {self.max_samples}")
-        if self.max_wall_seconds is not None and not self.max_wall_seconds > 0:
+        # An infinite wall budget is no bound: the campaign would run until
+        # a Ctrl-C, and summary.json would hold a non-standard Infinity.
+        if self.max_wall_seconds is not None and not 0 < self.max_wall_seconds < math.inf:
             raise ConfigError(
-                f"max_wall_seconds must be > 0, got {self.max_wall_seconds}"
+                f"max_wall_seconds must be finite and > 0, got {self.max_wall_seconds}"
             )
         if not 0.0 <= self.delay < math.inf:
             raise ConfigError(f"delay must be finite and >= 0, got {self.delay}")

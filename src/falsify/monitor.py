@@ -13,6 +13,7 @@ was violated somewhere along the run.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -146,6 +147,13 @@ def _clearance(run: Run, agent: str, threshold: float) -> float:
     return run.min_separation(agent) - threshold
 
 
+def _check_threshold(threshold: float) -> None:
+    # An infinite threshold would make every sample a counterexample, and
+    # summary.json would hold a non-standard Infinity.
+    if not 0 < threshold < math.inf:
+        raise DomainError(f"threshold must be positive and finite, got {threshold}")
+
+
 @dataclass(frozen=True)
 class MinSeparation:
     """Requires the ego center to stay >= threshold meters from one agent.
@@ -157,8 +165,7 @@ class MinSeparation:
     threshold: float = DEFAULT_THRESHOLD
 
     def __post_init__(self):
-        if not self.threshold > 0:
-            raise DomainError(f"threshold must be positive, got {self.threshold}")
+        _check_threshold(self.threshold)
 
     @property
     def name(self) -> str:
@@ -189,8 +196,7 @@ class JointSeparation:
     def __post_init__(self):
         if not self.agents:
             raise DomainError("joint_separation needs at least one agent")
-        if not self.threshold > 0:
-            raise DomainError(f"threshold must be positive, got {self.threshold}")
+        _check_threshold(self.threshold)
 
     @property
     def name(self) -> str:
@@ -261,7 +267,11 @@ def spec_from_config(entries: Sequence[dict]) -> Specification:
         if isinstance(threshold, bool) or not isinstance(threshold, (int, float)):
             raise SpecError(f"spec entry {k}: threshold must be a number, "
                             f"got {threshold!r}")
-        threshold = float(threshold)
+        try:
+            threshold = float(threshold)
+        except OverflowError:  # an int too large for a float
+            raise SpecError(f"spec entry {k}: threshold must be positive and finite, "
+                            f"got {threshold}") from None
         if kind == "min_separation":
             unknown = set(entry) - {"metric", "agent", "threshold"}
             if unknown:

@@ -3,9 +3,12 @@ equivalence, failure isolation, persistence, and coverage statistics."""
 
 import csv
 import dataclasses
+import io
 import json
+import math
 import multiprocessing
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -15,6 +18,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from falsify import analysis as an
 from falsify import campaign as ca
@@ -66,6 +71,11 @@ def semantic(record):
 def test_config_requires_a_budget():
     with pytest.raises(ConfigError, match="budget"):
         make_config(max_samples=None)
+
+
+def test_config_rejects_an_infinite_wall_budget():
+    with pytest.raises(ConfigError, match="max_wall_seconds must be finite"):
+        make_config(max_samples=None, max_wall_seconds=math.inf)
 
 
 def test_config_rejects_bad_workers():
@@ -323,29 +333,42 @@ def test_process_workers_return_the_inline_results(scenario):
     assert set(parallel.maximal) == set(serial.maximal)
 
 
-def _halton_values(config, sid):
-    """The values of sample ``sid`` in the config's Halton stream."""
-    return sa.make_sampler("halton", config.space, config.seed).draw(sid).values
+def _helpers_only(fate, coordinator_delay=0.002):
+    """A default simulator that calls ``fate()`` on each helper's n-th sample,
+    n counted per process, and pads each of the coordinator's samples by
+    ``coordinator_delay`` seconds, so that a helper forked after the
+    coordinator's first claims still gets samples."""
+    coordinator = os.getpid()
+    calls = []
+
+    def simulate(config, sample):
+        if os.getpid() == coordinator:
+            time.sleep(coordinator_delay)
+        else:
+            calls.append(sample)
+            fate(len(calls))
+        return sc.simulate(config.scenario, sample)
+
+    return simulate
 
 
 def test_dead_worker_process_aborts_with_the_partial_result(monkeypatch):
     config = make_config("1", sampler_name="halton", max_samples=40, workers=2)
-    doomed = _halton_values(config, 10)
-    coordinator = os.getpid()
 
-    def dies_on_one_sample(config, sample):
-        if sample.values == doomed:
-            assert os.getpid() != coordinator, "sample ran in the coordinator"
+    def dies_on_its_second_sample(n):
+        if n == 2:
             os._exit(1)
-        return sc.simulate(config.scenario, sample)
 
-    monkeypatch.setattr(ca, "default_simulator", dies_on_one_sample)
-    with pytest.raises(ca.CampaignError, match="died while running sample 10") as err:
+    monkeypatch.setattr(ca, "default_simulator", _helpers_only(dies_on_its_second_sample))
+    with pytest.raises(ca.CampaignError, match=r"died while running sample (\d+)") as err:
         ca.run_campaign(config)
+    lost = int(re.search(r"sample (\d+)", str(err.value)).group(1))
     partial = err.value.partial
     ids = {r.id for r in partial.records}
-    # Sample 10 is lost; whatever the other worker held was drained.
-    assert set(range(10)) <= ids and 10 not in ids
+    # The helper's sample is lost; its first one, and whatever the
+    # coordinator ran, are absorbed.
+    assert set(range(lost)) <= ids and lost not in ids
+    assert 1 in {r.worker for r in partial.records}
     assert len(ids) == len(partial.records) == partial.dispatched - 1
     assert multiprocessing.active_children() == []
 
@@ -353,18 +376,71 @@ def test_dead_worker_process_aborts_with_the_partial_result(monkeypatch):
 def test_worker_processes_ignore_sigint(monkeypatch):
     # A Ctrl-C reaches the whole process group; only the coordinator acts on it.
     config = make_config("1", sampler_name="halton", max_samples=30, workers=2)
-    interrupted = _halton_values(config, 5)
-    coordinator = os.getpid()
 
-    def interrupts_itself(config, sample):
-        if sample.values == interrupted:
-            assert os.getpid() != coordinator, "sample ran in the coordinator"
+    def interrupts_itself(n):
+        if n == 1:
             os.kill(os.getpid(), signal.SIGINT)
-        return sc.simulate(config.scenario, sample)
 
-    monkeypatch.setattr(ca, "default_simulator", interrupts_itself)
+    monkeypatch.setattr(ca, "default_simulator", _helpers_only(interrupts_itself))
     result = ca.run_campaign(config)
     assert len(result.records) == 30 and result.failed == 0
+    assert {r.worker for r in result.records} == {0, 1}  # the helper ran, and lived
+
+
+def _watch_processes(monkeypatch, tmp_path):
+    """Count forks and log the pid of each process that runs a sample.
+
+    Returns (forks, runs): the pids that ``os.fork`` returned, and a
+    function that reads back one pid per sample run.
+    """
+    log = tmp_path / "pids"
+    log.touch()
+    simulate, fork = ca.default_simulator, os.fork
+    forks = []
+
+    def logging_simulator(config, sample):
+        with log.open("a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return simulate(config, sample)
+
+    def counting_fork():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(ca, "default_simulator", logging_simulator)
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return forks, lambda: [int(pid) for pid in log.read_text().split()]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("sampler", ["halton", "uniform"])
+def test_claiming_coordinator_is_worker_0_beside_w_minus_1_helpers(
+        monkeypatch, tmp_path, sampler, workers):
+    forks, runs = _watch_processes(monkeypatch, tmp_path)
+    config = make_config("1", sampler_name=sampler, max_samples=40, workers=workers,
+                         delay=0.002)
+    result = ca.run_campaign(config)
+    assert len(forks) == workers - 1
+    pids = runs()
+    assert set(pids) == {os.getpid(), *forks}  # every process ran samples
+    assert pids.count(os.getpid()) == sum(r.worker == 0 for r in result.records)
+    assert {r.worker for r in result.records} == set(range(workers))
+    assert [r.id for r in result.records] == list(range(40))
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("sampler", ["mab", "cross-entropy"])
+def test_adaptive_samples_run_only_in_fed_helpers(monkeypatch, tmp_path, sampler):
+    forks, runs = _watch_processes(monkeypatch, tmp_path)
+    config = make_config("1", sampler_name=sampler, max_samples=40, workers=2)
+    result = ca.run_campaign(config)
+    assert len(forks) == 2
+    pids = runs()
+    assert len(pids) == 40 and set(pids) <= set(forks)
+    assert [r.id for r in result.records] == list(range(40))
+    assert multiprocessing.active_children() == []
 
 
 def _ctrl_c_on_call(n, times=1):
@@ -417,24 +493,27 @@ def test_ctrl_c_keeps_a_callers_own_handler():
 
 
 def test_worker_processes_exit_when_the_coordinator_end_closes():
-    # A claiming worker (halton) finds out on its next answer; a fed one
-    # (mab) waits for a task and reads EOF.
-    for sampler in ("halton", "mab"):
+    # A claiming helper (halton) finds out on its next answer; a fed one
+    # (mab) waits for a task and reads EOF.  The coordinator is worker 0
+    # of a claiming pool, so W=2 forks one helper there and two when fed.
+    for sampler, helpers in (("halton", 1), ("mab", 2)):
         pool = ca._Pool(ca._Runner(
             make_config(sampler_name=sampler, max_samples=10**6, workers=2)))
-        pool.start(2, forked=True)
-        for conn in pool.conns:
+        pool.start(forked=True)
+        assert len(pool.helpers) == helpers, sampler
+        for conn in pool.conns.values():
             conn.close()  # as the coordinator's death would
-        for process in pool.workers:
+        for process in pool.helpers:
             process.join(timeout=10)
             assert process.exitcode == 0, sampler
+    assert multiprocessing.active_children() == []
 
 
 def test_dispatch_to_a_dead_worker_process_is_a_package_error():
     pool = ca._Pool(ca._Runner(make_config(sampler_name="mab", workers=2)))
-    pool.start(2, forked=True)
+    pool.start(forked=True)
     try:
-        process = pool.workers[0]
+        process = pool.helpers[0]
         process.kill()
         process.join(timeout=10)
         assert not process.is_alive()
@@ -632,12 +711,30 @@ def test_artifact_tables_and_log_are_byte_identical_to_legacy(tmp_path):
             tmp_path / "old" / name).read_bytes(), name
 
 
+def legacy_encoded(record):
+    """A record's CSV row and JSONL line as csv.writer and json.dumps write them."""
+    doc = record.to_json_dict()
+    row = io.StringIO()
+    csv.writer(row).writerow([
+        doc["id"], doc["worker"], doc["t_dispatch"], doc["t_complete"],
+        json.dumps(doc["values"]), json.dumps(doc["buckets"]),
+        json.dumps(doc["rho"]), json.dumps(doc["b"]),
+        doc["counterexample"], doc["termination"], doc["sim_seconds"],
+    ])
+    return row.getvalue(), json.dumps(doc) + "\n"
+
+
 @pytest.mark.parametrize("changes", [
     dict(t_dispatch=0, t_complete=1, sim_seconds=2),  # ints
     dict(t_dispatch=float("nan"), t_complete=float("inf"),
          sim_seconds=-float("inf")),
     dict(termination='odd, "quoted", ünïcode\n'),
     dict(id=True, worker=False),
+    dict(termination="ünïcode"),
+    # each character that csv.writer quotes, alone, and the empty field
+    *(dict(termination=f"a{c}b") for c in ',"\r\n'),
+    dict(termination=""),
+    dict(rho=(-1.0,)),  # one-element lists are not quoted in the CSV row
 ])
 def test_encoded_record_line_equals_json_dumps(changes):
     record = ca.SampleRecord(
@@ -647,14 +744,51 @@ def test_encoded_record_line_equals_json_dumps(changes):
     )
     record = dataclasses.replace(record, **changes)
     row, line = ca._encoded(record)
-    assert line == json.dumps(record.to_json_dict()) + "\n"
-    doc = record.to_json_dict()
-    assert row == [
-        doc["id"], doc["worker"], doc["t_dispatch"], doc["t_complete"],
-        json.dumps(doc["values"]), json.dumps(doc["buckets"]),
-        json.dumps(doc["rho"]), json.dumps(doc["b"]),
-        doc["counterexample"], doc["termination"], doc["sim_seconds"],
-    ]
+    want_row, want_line = legacy_encoded(record)
+    assert line.encode() == want_line.encode()
+    assert row.encode() == want_row.encode()
+
+
+# Floats that JSON or CSV spell apart from most: nan, the infinities, the
+# zeros and the subnormals, beside any other float.
+_FLOATS = st.floats() | st.sampled_from(
+    [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -2.5e-310, 1e16, 1e-5])
+# Terminations that CSV writes as they are, ones rich in the characters it
+# quotes, and any text at all.
+_TERMINATIONS = (st.text(st.characters(blacklist_characters=',"\r\n'), min_size=1)
+                 | st.text(st.sampled_from('a ü,"\r\n')) | st.text())
+
+
+@st.composite
+def _records(draw):
+    """Records whose fields have their own types, or, in about half of them,
+    ints and bools in the float and int slots."""
+    mixed = draw(st.booleans())
+    floats = _FLOATS | st.integers() | st.booleans() if mixed else _FLOATS
+    ints = st.integers(0, 2**63) | st.booleans() if mixed else st.integers(0, 2**63)
+    dims = draw(st.integers(1, 4))
+    return ca.SampleRecord(
+        id=draw(ints),
+        worker=draw(ints),
+        t_dispatch=draw(floats),
+        t_complete=draw(floats),
+        sample=SampleVector(
+            tuple(draw(st.lists(floats, min_size=dims, max_size=dims))),
+            tuple(draw(st.lists(ints, min_size=dims, max_size=dims))),
+        ),
+        rho=tuple(draw(st.lists(floats, min_size=1, max_size=4))),
+        termination=draw(_TERMINATIONS),
+        sim_seconds=draw(floats),
+    )
+
+
+@settings(max_examples=300)
+@given(_records())
+def test_encoded_equals_csv_writer_and_json_dumps(record):
+    row, line = ca._encoded(record)
+    want_row, want_line = legacy_encoded(record)
+    assert row.encode() == want_row.encode()
+    assert line.encode() == want_line.encode()
 
 
 def test_read_records_missing_dir(tmp_path):

@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import json
+import math
 import multiprocessing
 import os
 import re
@@ -132,6 +133,13 @@ def test_run_rejects_dimensions_that_misname_the_features(tmp_path, capsys):
      "threshold must be a number, got '3'"),
     ("bool threshold", lambda doc: doc["spec"][0].update(threshold=True),
      "threshold must be a number, got True"),
+    ("huge threshold", lambda doc: doc["spec"][0].update(threshold=10**400),
+     "spec entry 0: threshold must be positive and finite, got 1000"),
+    ("infinite threshold", lambda doc: doc["spec"][0].update(threshold=math.inf),
+     "threshold must be positive and finite, got inf"),
+    ("infinite joint threshold", lambda doc: doc["spec"].append(
+        {"metric": "joint_separation", "agents": ["adv0"], "threshold": math.inf}),
+     "threshold must be positive and finite, got inf"),
 ])
 def test_run_rejects_a_non_numeric_value(tmp_path, capsys, where, edit, named):
     doc = example_config("1")
@@ -144,6 +152,19 @@ def test_run_rejects_a_non_numeric_value(tmp_path, capsys, where, edit, named):
     rc, out, err = run_cli(capsys, "run", str(path))
     assert rc == 2 and out == ""
     assert named in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("where", ["file", "flag"])
+def test_run_rejects_an_infinite_wall_budget(tmp_path, capsys, where):
+    # With no sample budget, an infinite wall budget would run until Ctrl-C.
+    budget = {"max_samples": None,
+              "max_wall_seconds": math.inf if where == "file" else 5.0}
+    path, out_dir = write_config(tmp_path, budget=budget)
+    flags = ["--budget-seconds", "inf"] if where == "flag" else []
+    rc, out, err = run_cli(capsys, "run", str(path), *flags)
+    assert rc == 2 and out == ""
+    assert "max_wall_seconds must be finite and > 0, got inf" in err
+    assert "Traceback" not in err and not out_dir.exists()
 
 
 def test_run_accepts_an_integral_float_for_an_integer_field(tmp_path, capsys):

@@ -185,6 +185,14 @@ class TestMinSeparation:
         with pytest.raises(DomainError):
             MinSeparation("adv0", 0.0)
 
+    @pytest.mark.parametrize("threshold", [np.inf, np.nan])
+    def test_threshold_must_be_finite(self, threshold):
+        # An infinite threshold would make every sample a counterexample.
+        with pytest.raises(DomainError, match="positive and finite"):
+            MinSeparation("adv0", threshold)
+        with pytest.raises(DomainError, match="positive and finite"):
+            JointSeparation(("adv0",), threshold)
+
     @given(
         st.integers(2, 40),
         st.floats(-50, 50),
